@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .closed_form import DeltaMatrix, LowRankCoefficients
 from .errors import (
@@ -99,11 +100,17 @@ def initial_state(n: int, mu0: float) -> AdmmState:
 
 
 def svt(M, tau: float) -> np.ndarray:
-    """Singular value thresholding: shrink singular values by tau, clamp at 0."""
+    """Singular value thresholding: shrink singular values by tau, clamp at 0.
+
+    numpy's gesdd can fail to converge on finite input; gesvd is then tried.
+    """
     M = as_matrix(M, "M")
     if tau < 0.0:
         raise InvalidConfigError(f"threshold must be nonnegative, got {tau}")
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    try:
+        U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    except np.linalg.LinAlgError:
+        U, s, Vt = scipy.linalg.svd(M, full_matrices=False, lapack_driver="gesvd")
     shrunk = np.maximum(s - tau, 0.0)
     return (U * shrunk) @ Vt
 
@@ -200,11 +207,11 @@ def admm_solve(
         E_next = e_step(state.Z, state.Xicoef, mu, D)
         try:
             Z_next = z_step(state.Z, E_next, state.Xicoef, mu, eta, config.lam, D)
-        except InvalidInputError as exc:
-            # a non-finite SVT argument is divergence, not bad user input
-            raise NumericalDivergenceError(
-                f"non-finite iterate at iteration {k + 1}"
-            ) from exc
+            nuclear = float(np.sum(np.linalg.svd(Z_next, compute_uv=False)))
+        except (InvalidInputError, np.linalg.LinAlgError) as exc:
+            # a non-finite SVT argument or an SVD that fails on both drivers is
+            # divergence, not bad user input
+            raise NumericalDivergenceError(f"iteration {k + 1}: {exc}") from exc
         residual_cols = eye - Z_next - E_next
         Xi_next = state.Xicoef + mu * residual_cols
 
@@ -222,7 +229,7 @@ def admm_solve(
 
         objective = float(
             np.sum(np.sqrt(np.maximum(np.sum(E_next * (D @ E_next), axis=0), 0.0)))
-            + config.lam * np.sum(np.linalg.svd(Z_next, compute_uv=False))
+            + config.lam * nuclear
         )
 
         report.primal_residual_history.append(primal)

@@ -1,7 +1,7 @@
 """Command-line pipeline: generate fixtures, cluster subspace data, score labels.
 
 Exit codes: 0 on success (including a flagged non-converged solve), 2 on
-usage or input errors, 3 on numerical divergence.
+usage or input errors, 3 on numerical divergence or a failed decomposition.
 """
 
 from __future__ import annotations
@@ -192,8 +192,11 @@ def _parse_lambdas(text: str) -> list[float]:
 
 
 def cmd_cluster(args) -> int:
-    points = _load_points(args)
     lambdas = sorted(_parse_lambdas(args.lam))
+    for a, b in zip(lambdas, lambdas[1:]):  # sorted, so equal lam_<value:g> names are adjacent
+        if f"{a:g}" == f"{b:g}":
+            raise InvalidInputError(f"lambda values {a!r} and {b!r} would both write lam_{a:g}")
+    points = _load_points(args)
     truth = None
     if args.truth is not None:
         truth_labels = read_labels(args.truth)
@@ -290,7 +293,7 @@ def main(argv=None) -> int:
         if args.command == "cluster":
             _apply_config_file(args, argv)
         return args.func(args)
-    except NumericalDivergenceError as exc:
+    except (NumericalDivergenceError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (GrassLrrError, OSError) as exc:

@@ -10,7 +10,7 @@ Z = U diag(f(sigma)) U^T where f(sigma) = 1 - lam/sigma when sigma > lam and
 0 otherwise.  (Without the 1/2 the same rule would need lam/(2 sigma); the
 reported objective carries the 1/2 so the shrinkage rule is its exact
 minimizer.)  The same rule solves the kernelized variant for any PSD Gram
-matrix, so the projection-kernel path and the direct path coincide exactly.
+matrix; glrr-f is the kernelized solve with the projection kernel.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError
-from .kernels import KernelMatrix, KernelSpec, gram, projection_inner
-from .manifold import GrassmannPoint, as_matrix, check_same_shape, sym_eig
+from .errors import InvalidConfigError
+from .kernels import KernelMatrix, KernelSpec, assemble_gram, gram
+from .manifold import GrassmannPoint, sym_eig
 
 EIG_ZERO_RTOL = 1e-12
 
@@ -61,38 +61,27 @@ class ClosedFormReport:
 
 
 def build_delta(points: list[GrassmannPoint]) -> DeltaMatrix:
-    """Gram matrix of the embedded points from p x p cross products only."""
-    n = len(points)
-    if n < 2:
-        raise InvalidInputError(f"need at least 2 points, got {n}")
-    for q in points[1:]:
-        check_same_shape(points[0], q)
-    delta = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            delta[i, j] = delta[j, i] = projection_inner(points[i].basis, points[j].basis)
+    """Gram matrix of the embedded points: the unrepaired projection-kernel Gram matrix."""
+    delta = assemble_gram(points, KernelSpec(kind="projection"))
     delta.setflags(write=False)
     return DeltaMatrix(values=delta)
-
-
-def _gram_values(G) -> np.ndarray:
-    if isinstance(G, DeltaMatrix) or isinstance(G, KernelMatrix):
-        return G.values
-    return as_matrix(G, "G")
 
 
 def glrr_f_solve(G, lam: float) -> tuple[LowRankCoefficients, ClosedFormReport]:
     """Spectral-shrinkage minimizer of the square-root-space objective.
 
-    ``G`` may be a DeltaMatrix, a KernelMatrix, or a plain symmetric PSD
-    array (assumed already clamped).  Eigenvalues below 1e-12 of the largest
-    are treated as zero before the shrinkage rule is applied.
+    ``G`` may be a DeltaMatrix, a KernelMatrix (whose stored eigendecomposition
+    is reused), or a plain symmetric PSD array (assumed already clamped).
+    Eigenvalues below 1e-12 of the largest are treated as zero before the
+    shrinkage rule is applied.
     """
     lam = float(lam)
     if not (lam > 0.0):
         raise InvalidConfigError(f"lambda must be positive, got {lam}")
-    values = _gram_values(G)
-    eig = sym_eig(values)
+    if isinstance(G, KernelMatrix):
+        eig = G.eig
+    else:
+        eig = sym_eig(G.values if isinstance(G, DeltaMatrix) else G)
     sigma = eig.eigenvalues
     U = eig.eigenvectors
 
@@ -122,6 +111,10 @@ def glrr_f_solve(G, lam: float) -> tuple[LowRankCoefficients, ClosedFormReport]:
 def kglrr_solve(
     points: list[GrassmannPoint], spec: KernelSpec, lam: float
 ) -> tuple[LowRankCoefficients, ClosedFormReport]:
-    """Kernelized solve: Gram assembly, PSD repair, then spectral shrinkage."""
+    """Kernelized solve: Gram assembly, PSD repair, then spectral shrinkage.
+
+    One eigendecomposition serves both the repair and the shrinkage.  With the
+    projection kernel this is glrr-f: the Gram matrix is ``build_delta``'s.
+    """
     K = gram(points, spec)
     return glrr_f_solve(K, lam)

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import AdmmConfig, admm_solve
-from .closed_form import LowRankCoefficients, build_delta, glrr_f_solve, kglrr_solve
+from .closed_form import LowRankCoefficients, build_delta, kglrr_solve
 from .errors import InvalidConfigError, InvalidInputError
 from .kernels import KernelSpec
-from .manifold import GrassmannPoint, as_matrix
+from .manifold import GrassmannPoint, as_matrix, canonical_signs
 from .rng import SplitMix64
 
 METHODS = ("glrr-f", "glrr-21", "kglrr")
@@ -148,15 +148,6 @@ def kmeans(
     return ClusterLabels(labels=out, n_clusters=n_clusters)
 
 
-def _canonical_sign_columns(V: np.ndarray) -> np.ndarray:
-    V = V.copy()
-    for k in range(V.shape[1]):
-        i = int(np.argmax(np.abs(V[:, k])))
-        if V[i, k] < 0.0:
-            V[:, k] = -V[:, k]
-    return V
-
-
 def ncut(W, cfg: NcutConfig) -> ClusterLabels:
     """Normalized-cuts labels from the symmetric normalized Laplacian.
 
@@ -175,7 +166,8 @@ def ncut(W, cfg: NcutConfig) -> ClusterLabels:
     inv_sqrt = np.where(degree > 0.0, 1.0 / np.sqrt(np.where(degree > 0.0, degree, 1.0)), 0.0)
     L = np.eye(n) - (inv_sqrt[:, None] * W) * inv_sqrt[None, :]
     eigvals, eigvecs = np.linalg.eigh((L + L.T) / 2.0)
-    emb = _canonical_sign_columns(eigvecs[:, : cfg.n_clusters])
+    emb = eigvecs[:, : cfg.n_clusters]
+    emb = emb * canonical_signs(emb)
 
     norms = np.linalg.norm(emb, axis=1)
     safe = np.where(norms > 0.0, norms, 1.0)
@@ -204,46 +196,20 @@ def cluster_pipeline(
 ) -> tuple[ClusterLabels, LowRankCoefficients, dict]:
     """Solver -> affinity -> normalized cuts, with per-run diagnostics.
 
-    ``method`` selects the solver: ``glrr-f`` (closed form on the Gram
-    matrix), ``glrr-21`` (ADMM with slice-wise l2/l1 error), or ``kglrr``
-    (closed form on a kernel Gram matrix).
+    ``method`` selects the solver: ``glrr-21`` (ADMM with slice-wise l2/l1
+    error), ``kglrr`` (closed form on a kernel Gram matrix), or ``glrr-f``,
+    which is ``kglrr`` with the projection kernel (``kernel_spec`` ignored).
     """
     if method not in METHODS:
         raise InvalidConfigError(f"unknown method {method!r}; expected one of {METHODS}")
 
     diagnostics: dict = {"method": method}
-    if method == "glrr-f":
-        if lam is None:
-            raise InvalidConfigError("glrr-f requires lambda")
-        delta = build_delta(points)
-        coeffs, report = glrr_f_solve(delta, lam)
-        diagnostics.update(
-            lam=float(lam),
-            solver_report=report,
-            iterations=0,
-            converged=True,
-            clamp_magnitude=0.0,
-            rank_z=report.kept_count,
-        )
-    elif method == "kglrr":
-        if lam is None or kernel_spec is None:
-            raise InvalidConfigError("kglrr requires lambda and a kernel spec")
-        coeffs, report = kglrr_solve(points, kernel_spec, lam)
-        diagnostics.update(
-            lam=float(lam),
-            solver_report=report,
-            iterations=0,
-            converged=True,
-            clamp_magnitude=report.clamp_magnitude,
-            rank_z=report.kept_count,
-        )
-    else:
+    if method == "glrr-21":
         if admm_cfg is None:
             if lam is None:
                 raise InvalidConfigError("glrr-21 requires lambda or an ADMM config")
             admm_cfg = AdmmConfig(lam=lam)
-        delta = build_delta(points)
-        coeffs, _ecoef, report = admm_solve(delta, admm_cfg)
+        coeffs, _ecoef, report = admm_solve(build_delta(points), admm_cfg)
         s = np.linalg.svd(coeffs.Z, compute_uv=False)
         rank_z = int(np.sum(s > 1e-10 * (s[0] if s.size else 0.0)))
         diagnostics.update(
@@ -253,6 +219,20 @@ def cluster_pipeline(
             converged=report.converged,
             clamp_magnitude=0.0,
             rank_z=rank_z,
+        )
+    else:
+        if method == "glrr-f":
+            kernel_spec = KernelSpec(kind="projection")
+        if lam is None or kernel_spec is None:
+            raise InvalidConfigError(f"{method} requires lambda (and, for kglrr, a kernel spec)")
+        coeffs, report = kglrr_solve(points, kernel_spec, lam)
+        diagnostics.update(
+            lam=float(lam),
+            solver_report=report,
+            iterations=0,
+            converged=True,
+            clamp_magnitude=report.clamp_magnitude,
+            rank_z=report.kept_count,
         )
 
     W = affinity_from_Z(coeffs)

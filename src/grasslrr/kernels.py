@@ -3,8 +3,10 @@
 Four kernels are provided: the projection kernel ||X1^T X2||_F^2, the
 canonical-correlation kernels (largest or summed principal-angle cosine),
 and an affine blend of the summed-cosine and projection kernels.  Gram
-matrices are symmetrized by construction and repaired to PSD by eigenvalue
-truncation when needed, with the repair magnitude recorded.
+matrices are assembled row by row from one GEMM per row, symmetric by
+construction, and repaired to PSD by eigenvalue truncation when needed, with
+the repair magnitude recorded.  The eigendecomposition taken for the repair
+is kept with the matrix, so the closed-form solver needs no second one.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
-from .manifold import GrassmannPoint, as_matrix, check_same_shape, sym_eig
+from .manifold import GrassmannPoint, SymEig, as_matrix, check_same_shape, sym_eig
 
 KERNEL_KINDS = ("projection", "cc-max", "cc-sum", "ccp")
 
@@ -49,22 +51,13 @@ class PrincipalAngles:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """N x N Gram matrix plus a record of any PSD repair applied."""
+    """N x N Gram matrix, its eigendecomposition, and a record of any PSD repair applied."""
 
     values: np.ndarray
     spec: KernelSpec
+    eig: SymEig
     clamped: bool = False
     clamp_magnitude: float = 0.0
-
-
-def projection_inner(B1: np.ndarray, B2: np.ndarray) -> float:
-    """tr[(X2^T X1)(X1^T X2)] = ||X1^T X2||_F^2 from the p x p cross product.
-
-    Shared by the projection kernel and the solver's Gram assembly so the two
-    paths agree entrywise exactly.
-    """
-    cross = B1.T @ B2
-    return float(np.sum(cross * cross))
 
 
 def principal_angle_cosines(X1: GrassmannPoint, X2: GrassmannPoint) -> PrincipalAngles:
@@ -77,8 +70,10 @@ def principal_angle_cosines(X1: GrassmannPoint, X2: GrassmannPoint) -> Principal
 
 
 def k_projection(X1: GrassmannPoint, X2: GrassmannPoint) -> float:
+    """tr[(X2^T X1)(X1^T X2)] = ||X1^T X2||_F^2 from the p x p cross product."""
     check_same_shape(X1, X2)
-    return projection_inner(X1.basis, X2.basis)
+    cross = X1.basis.T @ X2.basis
+    return float(np.sum(cross * cross))
 
 
 def k_cc(X1: GrassmannPoint, X2: GrassmannPoint, variant: str = "sum") -> float:
@@ -97,14 +92,21 @@ def k_ccp(X1: GrassmannPoint, X2: GrassmannPoint, alpha: float) -> float:
     return alpha * k_cc(X1, X2, "sum") + (1.0 - alpha) * k_projection(X1, X2)
 
 
-def kernel_value(X1: GrassmannPoint, X2: GrassmannPoint, spec: KernelSpec) -> float:
-    if spec.kind == "projection":
-        return k_projection(X1, X2)
-    if spec.kind == "cc-max":
-        return k_cc(X1, X2, "max")
-    if spec.kind == "cc-sum":
-        return k_cc(X1, X2, "sum")
-    return k_ccp(X1, X2, spec.alpha)
+def _psd_truncate(K: np.ndarray) -> tuple[np.ndarray, SymEig, float]:
+    """Clamp negative eigenvalues to zero.
+
+    Returns the matrix, its (post-repair) eigendecomposition and the repair
+    magnitude, so a caller needs no second eigendecomposition.
+    """
+    eig = sym_eig(K)
+    w = eig.eigenvalues
+    if w[-1] >= -PSD_RTOL * max(w[0], 0.0):
+        return K, eig, 0.0
+    kept = np.maximum(w, 0.0)
+    kept.setflags(write=False)
+    V = eig.eigenvectors
+    repaired = (V * kept) @ V.T
+    return (repaired + repaired.T) / 2.0, SymEig(eigenvalues=kept, eigenvectors=V), float(-w[-1])
 
 
 def psd_clamp(K) -> tuple[np.ndarray, float]:
@@ -115,35 +117,49 @@ def psd_clamp(K) -> tuple[np.ndarray, float]:
     whose smallest eigenvalue is within -1e-8 of the largest are returned
     untouched.
     """
-    K = as_matrix(K, "K")
-    eig = sym_eig(K)
-    w = eig.eigenvalues
-    if w[-1] >= -PSD_RTOL * max(w[0], 0.0):
-        return K, 0.0
-    magnitude = float(-w[-1])
-    kept = np.maximum(w, 0.0)
-    V = eig.eigenvectors
-    repaired = (V * kept) @ V.T
-    repaired = (repaired + repaired.T) / 2.0
-    return repaired, magnitude
+    values, _eig, magnitude = _psd_truncate(as_matrix(K, "K"))
+    return values, magnitude
 
 
-def gram(points: list[GrassmannPoint], spec: KernelSpec) -> KernelMatrix:
-    """Kernel Gram matrix over a point set, symmetric by construction."""
+def _kernel_row(cross: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """Kernel values from an (m, p, p) stack of cross products X_i^T X_j."""
+    if spec.kind == "projection":
+        return np.sum(cross * cross, axis=(1, 2))
+    cos = np.clip(np.linalg.svd(cross, compute_uv=False), 0.0, 1.0)
+    if spec.kind == "cc-max":
+        return cos[:, 0]
+    if spec.kind == "cc-sum":
+        return cos.sum(axis=1)
+    return spec.alpha * cos.sum(axis=1) + (1.0 - spec.alpha) * np.sum(cross * cross, axis=(1, 2))
+
+
+def assemble_gram(points: list[GrassmannPoint], spec: KernelSpec) -> np.ndarray:
+    """Unrepaired kernel Gram matrix, one GEMM per row, exactly symmetric.
+
+    Row i multiplies X_i^T by the stacked bases [X_i ... X_N], views the
+    product as an (N - i, p, p) stack of cross products, and mirrors the
+    resulting kernel values into column i.  Memory stays O(N d p + N^2).
+    """
     n = len(points)
     if n < 2:
         raise InvalidInputError(f"need at least 2 points, got {n}")
     for q in points[1:]:
         check_same_shape(points[0], q)
+    p = points[0].p
+    stacked = np.concatenate([q.basis for q in points], axis=1)
     K = np.empty((n, n))
     for i in range(n):
-        for j in range(i, n):
-            K[i, j] = K[j, i] = kernel_value(points[i], points[j], spec)
-    values, magnitude = psd_clamp(K)
-    values = values.copy()
+        cross = points[i].basis.T @ stacked[:, i * p :]
+        K[i, i:] = K[i:, i] = _kernel_row(cross.reshape(p, n - i, p).transpose(1, 0, 2), spec)
+    return K
+
+
+def gram(points: list[GrassmannPoint], spec: KernelSpec) -> KernelMatrix:
+    """Kernel Gram matrix over a point set, symmetric by construction, repaired to PSD."""
+    values, eig, magnitude = _psd_truncate(assemble_gram(points, spec))
     values.setflags(write=False)
     return KernelMatrix(
-        values=values, spec=spec, clamped=magnitude > 0.0, clamp_magnitude=magnitude
+        values=values, spec=spec, eig=eig, clamped=magnitude > 0.0, clamp_magnitude=magnitude
     )
 
 

@@ -77,24 +77,22 @@ class GrassmannPoint:
         return self.basis.shape[1]
 
 
-def _canonical_signs(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Largest-magnitude entry of each left singular vector made positive
-    # (argmax takes the lowest index on ties) so repeated runs agree bit-for-bit.
-    U = U.copy()
-    V = V.copy()
-    for k in range(U.shape[1]):
-        i = int(np.argmax(np.abs(U[:, k])))
-        if U[i, k] < 0.0:
-            U[:, k] = -U[:, k]
-            V[:, k] = -V[:, k]
-    return U, V
+def canonical_signs(U: np.ndarray) -> np.ndarray:
+    """+-1 per column that makes each column's largest-magnitude entry positive.
+
+    argmax takes the lowest index on ties, so repeated runs agree bit-for-bit;
+    multiplying by +-1.0 is exact.
+    """
+    top = U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])]
+    return np.where(top < 0.0, -1.0, 1.0)
 
 
 def thin_svd(M) -> ThinSvd:
     """Thin SVD with descending singular values and canonical signs."""
     M = as_matrix(M, "M")
     U, S, Vt = np.linalg.svd(M, full_matrices=False)
-    U, V = _canonical_signs(U, Vt.T)
+    signs = canonical_signs(U)
+    U, V = U * signs, Vt.T * signs
     return ThinSvd(U=_frozen(U), S=_frozen(S), V=_frozen(V))
 
 

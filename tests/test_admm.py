@@ -6,6 +6,7 @@ import pytest
 from grasslrr import (
     AdmmConfig,
     InvalidConfigError,
+    NumericalDivergenceError,
     OracleTooLargeError,
     admm_solve,
     build_delta,
@@ -29,6 +30,10 @@ def random_point(rng, d, p):
 def random_points(seed, n, d, p):
     rng = np.random.default_rng(seed)
     return [random_point(rng, d, p) for _ in range(n)]
+
+
+def svd_failure(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
 
 
 class TestSvt:
@@ -56,6 +61,22 @@ class TestSvt:
     def test_negative_threshold_rejected(self):
         with pytest.raises(InvalidConfigError):
             svt(np.eye(3), -0.1)
+
+    def test_gesvd_fallback_when_gesdd_fails(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        M = rng.standard_normal((7, 5))
+        tau = 0.8
+        U, s, Vt = np.linalg.svd(M, full_matrices=False)
+        oracle = (U * np.maximum(s - tau, 0.0)) @ Vt
+        monkeypatch.setattr("numpy.linalg.svd", svd_failure)
+        assert np.max(np.abs(svt(M, tau) - oracle)) <= 1e-12
+
+    def test_both_drivers_failing_is_divergence(self, monkeypatch):
+        delta = build_delta(random_points(4, 6, 10, 2))
+        monkeypatch.setattr("numpy.linalg.svd", svd_failure)
+        monkeypatch.setattr("scipy.linalg.svd", svd_failure)
+        with pytest.raises(NumericalDivergenceError, match="iteration 1"):
+            admm_solve(delta, AdmmConfig(lam=1.0, max_iters=3))
 
 
 class TestESlice:

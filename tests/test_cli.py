@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import grasslrr
 
 from grasslrr import accuracy as lib_accuracy
 from grasslrr import ClusterLabels, read_labels, read_matrix
@@ -196,6 +202,55 @@ class TestClusterCommand:
         code = main(["cluster", "--data", str(data), "--method", "glrr-f",
                      "--lambda", "-2", "--clusters", "4", "--out", str(data / "o")])
         assert code == 2
+
+    def test_lambda_directory_collision_is_input_error(self, tmp_path, capsys):
+        data = run_synth(tmp_path, seed=19)
+        for lams in ("1,1.0000001", "1,1", "0.5,1,1.0"):
+            out = tmp_path / "collide"
+            code = main(["cluster", "--data", str(data), "--method", "glrr-f",
+                         "--lambda", lams, "--clusters", "4", "--out", str(out)])
+            assert code == 2
+            assert "lam_1" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_svd_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        data = run_synth(tmp_path, seed=23)
+        real_svd = np.linalg.svd
+
+        def fail_on_coefficients(a, *args, **kwargs):
+            # only the 60 x 60 coefficient matrices; 30 x 3 bases still load
+            if np.shape(a) == (60, 60):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, *args, **kwargs)
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr("numpy.linalg.svd", fail_on_coefficients)
+        monkeypatch.setattr("scipy.linalg.svd", fail)
+        capsys.readouterr()
+        code = main(["cluster", "--data", str(data), "--method", "glrr-21", "--lambda", "1",
+                     "--max-iters", "5", "--clusters", "4", "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "did not converge" in capsys.readouterr().err
+
+    def test_glrr21_n500_single_thread_no_crash(self, tmp_path):
+        # numpy's gesdd fails to converge on an SVT argument of this run at
+        # iteration 69 with one OpenBLAS thread; the CLI must still honour 0/2/3
+        data = tmp_path / "n500"
+        assert main(["synth", "--clusters", "10", "--per-cluster", "50", "--d", "30",
+                     "--p", "3", "--sigma", "0.05", "--seed", "1", "--out", str(data)]) == 0
+        src = os.path.dirname(os.path.dirname(grasslrr.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "grasslrr.cli", "cluster", "--data", str(data),
+             "--method", "glrr-21", "--lambda", "1", "--clusters", "10",
+             "--max-iters", "80", "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode in (0, 3), proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_dataset(self, tmp_path):
         code = main(["cluster", "--data", str(tmp_path / "nope"), "--method", "glrr-f",

@@ -7,6 +7,7 @@ from grasslrr import (
     KernelSpec,
     build_delta,
     glrr_f_solve,
+    gram,
     kernel_sqrt,
     kglrr_solve,
     orthonormalize,
@@ -193,6 +194,39 @@ class TestKglrrSolve:
         expected = (1.0 - lam / (n * k_self)) * np.full((n, n), 1.0 / n)
         np.testing.assert_allclose(Z.Z, expected, atol=1e-8)
         assert report.kept_count == 1
+
+    def test_one_eigendecomposition_per_solve(self, monkeypatch):
+        import grasslrr.closed_form
+        import grasslrr.kernels
+
+        calls = []
+        real = grasslrr.kernels.sym_eig
+
+        def counting(A):
+            calls.append(A.shape)
+            return real(A)
+
+        monkeypatch.setattr(grasslrr.kernels, "sym_eig", counting)
+        monkeypatch.setattr(grasslrr.closed_form, "sym_eig", counting)
+        rng = np.random.default_rng(15)
+        points = [random_point(rng, 5, 2) for _ in range(9)]
+        for kind in ("projection", "cc-sum"):
+            calls.clear()
+            kglrr_solve(points, KernelSpec(kind=kind), 0.5)
+            assert calls == [(9, 9)]
+
+    def test_repaired_solve_matches_fresh_eigendecomposition(self):
+        # the stored post-repair spectrum gives the Z a second eigh of the repaired matrix gives
+        rng = np.random.default_rng(16)
+        points = [random_point(rng, 5, 2) for _ in range(9)]
+        for kind in ("cc-max", "cc-sum", "ccp"):
+            K = gram(points, KernelSpec(kind=kind, alpha=0.5 if kind == "ccp" else None))
+            assert K.clamped
+            Zk, rep_k = glrr_f_solve(K, 0.3)
+            Zf, rep_f = glrr_f_solve(np.array(K.values), 0.3)
+            assert np.max(np.abs(Zk.Z - Zf.Z)) <= 1e-10
+            assert rep_k.kept_count == rep_f.kept_count
+            assert rep_k.clamp_magnitude == K.clamp_magnitude > 0.0
 
     def test_ccp_solution_spectrum(self):
         rng = np.random.default_rng(13)

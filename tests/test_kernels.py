@@ -166,6 +166,41 @@ class TestGram:
         delta = build_delta(points)
         assert np.max(np.abs(K.values - delta.values)) <= 1e-12
 
+    def test_matches_pairwise_oracle(self):
+        # batched row assembly vs one pairwise kernel call per entry, then the same repair
+        pairwise = {
+            "projection": k_projection,
+            "cc-max": lambda a, b: k_cc(a, b, "max"),
+            "cc-sum": lambda a, b: k_cc(a, b, "sum"),
+            "ccp": lambda a, b: k_ccp(a, b, 0.3),
+        }
+        rng = np.random.default_rng(22)
+        for trial in range(40):
+            n = int(rng.integers(2, 10))
+            d = int(rng.integers(1, 9))
+            p = (1, d, int(rng.integers(1, d + 1)))[trial % 3]
+            points = [random_point(rng, d, p) for _ in range(n)]
+            for kind, k in pairwise.items():
+                spec = KernelSpec(kind=kind, alpha=0.3 if kind == "ccp" else None)
+                raw = np.array([[k(a, b) for b in points] for a in points])
+                oracle, magnitude = psd_clamp(raw)
+                K = gram(points, spec)
+                assert np.max(np.abs(K.values - oracle)) <= 1e-12, (kind, n, d, p)
+                assert abs(K.clamp_magnitude - magnitude) <= 1e-12, (kind, n, d, p)
+
+    def test_stored_eigendecomposition_reconstructs_values(self):
+        # on this fixture the three cc kernels need repair and the projection kernel does not
+        rng = np.random.default_rng(23)
+        points = [random_point(rng, 5, 2) for _ in range(9)]
+        for kind in ("projection", "cc-max", "cc-sum", "ccp"):
+            K = gram(points, KernelSpec(kind=kind, alpha=0.5 if kind == "ccp" else None))
+            V, w = K.eig.eigenvectors, K.eig.eigenvalues
+            assert K.clamped == (kind != "projection")
+            if K.clamped:
+                assert np.all(w >= 0.0)
+            assert np.all(np.diff(w) <= 0.0)
+            assert np.max(np.abs((V * w) @ V.T - K.values)) <= 1e-12
+
     def test_exact_symmetry(self):
         rng = np.random.default_rng(15)
         points = [random_point(rng, 9, 3) for _ in range(5)]
