@@ -15,6 +15,14 @@ the Gram matrix ``delta`` (||sum_j c_j B_j||_F^2 = c^T delta c).  Memory is
 O(N^2) no matter how large the ambient dimension;  ``dense_reference``
 re-runs the identical iteration on explicit d x d slices to validate the
 reformulation.
+
+Each iteration costs one SVD and four N x N products: the SVT reconstruction
+and delta times the new E, Z and multiplier coefficients.  The loop keeps
+those three delta products between iterations and reads every other slice
+inner product off them (delta is symmetrized once, so delta^T = delta), and
+the objective's nuclear norm is the sum of the thresholded singular values
+the SVT already has.  The public ``e_step``, ``z_step`` and ``svt`` compute
+the same steps from scratch over the same private helpers.
 """
 
 from __future__ import annotations
@@ -91,6 +99,12 @@ class AdmmReport:
     z_history: list | None = None
     e_history: list | None = None
     final_state: "AdmmState | None" = None
+    # "converged" or "max_iters"; returned_iteration is the 1-based index of
+    # the returned iterate (0: the all-zero start), and z_singular_values its
+    # thresholded singular values, in descending order
+    stop_reason: str = "max_iters"
+    returned_iteration: int = 0
+    z_singular_values: np.ndarray | None = None
 
 
 def initial_state(n: int, mu0: float) -> AdmmState:
@@ -99,20 +113,38 @@ def initial_state(n: int, mu0: float) -> AdmmState:
     )
 
 
-def svt(M, tau: float) -> np.ndarray:
-    """Singular value thresholding: shrink singular values by tau, clamp at 0.
+def _svt(M: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """SVT of a finite M and its thresholded singular values, in descending order.
 
     numpy's gesdd can fail to converge on finite input; gesvd is then tried.
     """
-    M = as_matrix(M, "M")
-    if tau < 0.0:
-        raise InvalidConfigError(f"threshold must be nonnegative, got {tau}")
     try:
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError:
         U, s, Vt = scipy.linalg.svd(M, full_matrices=False, lapack_driver="gesvd")
     shrunk = np.maximum(s - tau, 0.0)
-    return (U * shrunk) @ Vt
+    return (U * shrunk) @ Vt, shrunk
+
+
+def svt(M, tau: float) -> np.ndarray:
+    """Singular value thresholding: shrink singular values by tau, clamp at 0."""
+    M = as_matrix(M, "M")
+    if tau < 0.0:
+        raise InvalidConfigError(f"threshold must be nonnegative, got {tau}")
+    return _svt(M, tau)[0]
+
+
+def _shrink_slices(W: np.ndarray, DW: np.ndarray, mu: float) -> np.ndarray:
+    """The E-step rule on columns W, given DW = delta @ W.
+
+    Column i: M = sqrt(w^T delta w); it becomes 0 when M < 1/mu, else
+    (1 - 1/(M mu)) w.
+    """
+    M = np.sqrt(np.maximum(np.sum(W * DW, axis=0), 0.0))
+    factor = np.zeros(W.shape[1])
+    hit = M >= 1.0 / mu
+    factor[hit] = 1.0 - 1.0 / (M[hit] * mu)
+    return W * factor[np.newaxis, :]
 
 
 def e_step(Z: np.ndarray, Xicoef: np.ndarray, mu: float, delta: np.ndarray) -> np.ndarray:
@@ -121,14 +153,14 @@ def e_step(Z: np.ndarray, Xicoef: np.ndarray, mu: float, delta: np.ndarray) -> n
     Column i: w = (e_i - Z[:, i]) + Xicoef[:, i]/mu, M = sqrt(w^T delta w);
     the new column is 0 when M < 1/mu, else (1 - 1/(M mu)) w.
     """
-    n = Z.shape[0]
-    W = (np.eye(n) - Z) + Xicoef / mu
-    sq = np.maximum(np.sum(W * (delta @ W), axis=0), 0.0)
-    M = np.sqrt(sq)
-    factor = np.zeros(n)
-    hit = M >= 1.0 / mu
-    factor[hit] = 1.0 - 1.0 / (M[hit] * mu)
-    return W * factor[np.newaxis, :]
+    W = (np.eye(Z.shape[0]) - Z) + Xicoef / mu
+    return _shrink_slices(W, delta @ W, mu)
+
+
+def _z_argument(Z, DZ, D, DE, DXi, mu: float, eta: float) -> np.ndarray:
+    """The SVT argument Z - grad/(eta mu), grad = mu*DZ - mu*(D - DE + DXi/mu)."""
+    grad = mu * DZ - mu * (D - DE + DXi / mu)
+    return Z - grad / (eta * mu)
 
 
 def z_step(
@@ -148,10 +180,9 @@ def z_step(
     column i of Z weights the reconstruction of slice i, which places delta
     on the left of Z (the row-convention ordering is unstable here).
     """
-    phi = Xicoef.T @ delta
-    psi = Ecoef.T @ delta
-    grad = mu * (delta @ Z) - mu * (delta - psi + phi / mu).T
-    return svt(Z - grad / (eta * mu), lam / (eta * mu))
+    Dt = delta.T
+    arg = _z_argument(Z, delta @ Z, Dt, Dt @ Ecoef, Dt @ Xicoef, mu, eta)
+    return svt(arg, lam / (eta * mu))
 
 
 def rho_rule(change: float, config: AdmmConfig) -> float:
@@ -163,9 +194,9 @@ def mu_update(mu: float, rho_applied: float, mu_max: float = 1e10) -> float:
     return min(rho_applied * mu, mu_max)
 
 
-def _delta_norm_sq(cols: np.ndarray, delta: np.ndarray) -> float:
-    """Sum over columns of col^T delta col (total squared slice norm)."""
-    return float(max(np.sum(cols * (delta @ cols)), 0.0))
+def _sum_inner(A: np.ndarray, DA: np.ndarray) -> float:
+    """Sum over columns of a^T delta a, given DA = delta @ A (total squared slice norm)."""
+    return float(max(np.sum(A * DA), 0.0))
 
 
 def admm_solve(
@@ -184,8 +215,9 @@ def admm_solve(
     n = D.shape[0]
     if D.shape[0] != D.shape[1]:
         raise InvalidConfigError(f"delta must be square, got {D.shape}")
+    D = (D + D.T) / 2.0
 
-    sigma_max = float(np.linalg.eigvalsh((D + D.T) / 2.0)[-1])
+    sigma_max = float(np.linalg.eigvalsh(D)[-1])
     x_norm = float(np.sqrt(max(sigma_max, 0.0)))
     eta = ETA_MARGIN * sigma_max if config.eta is None else float(config.eta)
     if not (eta > sigma_max):
@@ -200,18 +232,25 @@ def admm_solve(
         report.e_history = []
 
     eye = np.eye(n)
-    best = (np.inf, state.Z.copy(), state.Ecoef.copy())
+    DZ, DE, DXi = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    # (primal, Z, E, thresholded singular values of Z, iteration); the arrays
+    # are never written in place, so holding references is enough
+    best = (np.inf, state.Z, state.Ecoef, np.zeros(n), 0)
 
     for k in range(config.max_iters):
         mu = state.mu
-        E_next = e_step(state.Z, state.Xicoef, mu, D)
+        E_next = _shrink_slices((eye - state.Z) + state.Xicoef / mu, D - DZ + DXi / mu, mu)
+        DE_next = D @ E_next
         try:
-            Z_next = z_step(state.Z, E_next, state.Xicoef, mu, eta, config.lam, D)
-            nuclear = float(np.sum(np.linalg.svd(Z_next, compute_uv=False)))
+            Z_next, shrunk = _svt(
+                as_matrix(_z_argument(state.Z, DZ, D, DE_next, DXi, mu, eta), "M"),
+                config.lam / (eta * mu),
+            )
         except (InvalidInputError, np.linalg.LinAlgError) as exc:
             # a non-finite SVT argument or an SVD that fails on both drivers is
             # divergence, not bad user input
             raise NumericalDivergenceError(f"iteration {k + 1}: {exc}") from exc
+        DZ_next = D @ Z_next
         residual_cols = eye - Z_next - E_next
         Xi_next = state.Xicoef + mu * residual_cols
 
@@ -223,13 +262,13 @@ def admm_solve(
             raise NumericalDivergenceError(f"non-finite iterate at iteration {k + 1}")
 
         dz = np.sqrt(eta) * float(np.linalg.norm(Z_next - state.Z))
-        de = float(np.sqrt(_delta_norm_sq(E_next - state.Ecoef, D)))
+        de = float(np.sqrt(_sum_inner(E_next - state.Ecoef, DE_next - DE)))
         change = mu * max(dz, de) / x_norm
-        primal = float(np.sqrt(_delta_norm_sq(residual_cols, D))) / x_norm
+        primal = float(np.sqrt(_sum_inner(residual_cols, D - DZ_next - DE_next))) / x_norm
 
         objective = float(
-            np.sum(np.sqrt(np.maximum(np.sum(E_next * (D @ E_next), axis=0), 0.0)))
-            + config.lam * nuclear
+            np.sum(np.sqrt(np.maximum(np.sum(E_next * DE_next, axis=0), 0.0)))
+            + config.lam * float(np.sum(shrunk))
         )
 
         report.primal_residual_history.append(primal)
@@ -240,12 +279,13 @@ def admm_solve(
             report.e_history.append(E_next.copy())
 
         state.Z, state.Ecoef, state.Xicoef = Z_next, E_next, Xi_next
+        DZ, DE, DXi = DZ_next, DE_next, D @ Xi_next
         state.mu = mu_update(mu, rho_rule(change, config), config.mu_max)
         state.iter = k + 1
         report.iterations = k + 1
 
         if primal < best[0]:
-            best = (primal, Z_next.copy(), E_next.copy())
+            best = (primal, Z_next, E_next, shrunk, k + 1)
 
         if primal <= config.eps1 and change <= config.eps2:
             report.converged = True
@@ -253,9 +293,11 @@ def admm_solve(
 
     report.final_state = state
     if report.converged:
+        report.stop_reason = "converged"
         Z_out, E_out = state.Z, state.Ecoef
+        report.z_singular_values, report.returned_iteration = shrunk, report.iterations
     else:
-        Z_out, E_out = best[1], best[2]
+        _, Z_out, E_out, report.z_singular_values, report.returned_iteration = best
     return LowRankCoefficients(Z=Z_out), E_out, report
 
 

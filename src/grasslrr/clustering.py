@@ -210,7 +210,7 @@ def cluster_pipeline(
                 raise InvalidConfigError("glrr-21 requires lambda or an ADMM config")
             admm_cfg = AdmmConfig(lam=lam)
         coeffs, _ecoef, report = admm_solve(build_delta(points), admm_cfg)
-        s = np.linalg.svd(coeffs.Z, compute_uv=False)
+        s = report.z_singular_values
         rank_z = int(np.sum(s > 1e-10 * (s[0] if s.size else 0.0)))
         diagnostics.update(
             lam=admm_cfg.lam,

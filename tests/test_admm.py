@@ -19,8 +19,8 @@ from grasslrr import (
     svt,
     z_step,
 )
-from grasslrr.admm import initial_state
-from grasslrr.clustering import affinity_from_Z
+from grasslrr.admm import ETA_MARGIN, initial_state
+from grasslrr.clustering import NcutConfig, affinity_from_Z, cluster_pipeline
 
 
 def random_point(rng, d, p):
@@ -337,3 +337,107 @@ class TestConfigValidation:
             AdmmConfig(lam=1.0, eps1=0.0)
         with pytest.raises(InvalidConfigError):
             AdmmConfig(lam=1.0, max_iters=-1)
+
+
+class TestStopReason:
+    def test_converged_returns_last_iterate(self):
+        points = random_points(11, 8, 12, 2)
+        Z, _, report = admm_solve(build_delta(points), AdmmConfig(lam=2.0))
+        assert report.converged
+        assert report.stop_reason == "converged"
+        assert report.returned_iteration == report.iterations
+        assert np.array_equal(Z.Z, report.final_state.Z)
+
+    def test_max_iters_returns_best_primal_iterate(self):
+        points = random_points(15, 6, 9, 2)
+        delta = build_delta(points)
+        cfg = AdmmConfig(lam=0.5, max_iters=3)
+        Z, _, report = admm_solve(delta, cfg)
+        _, _, tracked = admm_solve(delta, cfg, track_iterates=True)
+        assert not report.converged
+        assert report.stop_reason == "max_iters"
+        best = int(np.argmin(report.primal_residual_history)) + 1
+        assert report.returned_iteration == best
+        assert np.array_equal(Z.Z, tracked.z_history[best - 1])
+
+    def test_zero_iterations_returns_start(self):
+        points = random_points(14, 5, 8, 2)
+        _, _, report = admm_solve(build_delta(points), AdmmConfig(lam=1.0, max_iters=0))
+        assert report.stop_reason == "max_iters"
+        assert report.returned_iteration == 0
+        assert np.array_equal(report.z_singular_values, np.zeros(5))
+
+    def test_singular_values_belong_to_returned_iterate(self):
+        for cfg in (AdmmConfig(lam=2.0), AdmmConfig(lam=0.5, max_iters=3)):
+            points = random_points(11, 8, 12, 2)
+            Z, _, report = admm_solve(build_delta(points), cfg)
+            s = report.z_singular_values
+            fresh = np.linalg.svd(Z.Z, compute_uv=False)
+            assert np.all(np.diff(s) <= 0.0)
+            assert np.max(np.abs(s - fresh)) <= 1e-10 * fresh[0]
+
+
+class TestIterationCost:
+    @staticmethod
+    def count_svd_calls(monkeypatch):
+        calls = []
+        real = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("numpy.linalg.svd", counting)
+        return calls
+
+    def test_one_svd_per_iteration(self, monkeypatch):
+        delta = build_delta(random_points(22, 10, 12, 2))
+        calls = self.count_svd_calls(monkeypatch)
+        _, _, report = admm_solve(delta, AdmmConfig(lam=0.5, max_iters=40))
+        assert report.iterations == 40
+        assert len(calls) == report.iterations
+
+    def test_pipeline_adds_no_svd(self, monkeypatch):
+        points = random_points(23, 10, 12, 2)
+        calls = self.count_svd_calls(monkeypatch)
+        _, _, diag = cluster_pipeline(
+            points, "glrr-21", NcutConfig(n_clusters=2, seed=0),
+            admm_cfg=AdmmConfig(lam=0.5, max_iters=40),
+        )
+        assert diag["iterations"] == 40
+        assert len(calls) <= diag["iterations"]
+
+    def test_loop_matches_public_steps(self):
+        # the loop reuses delta products across iterations; replaying the
+        # from-scratch public steps must land on the same iterates
+        points = random_points(24, 8, 10, 2)
+        D = build_delta(points).values
+        cfg = AdmmConfig(lam=1.2, max_iters=60, eps1=1e-30)
+        _, _, report = admm_solve(D, cfg, track_iterates=True)
+        assert report.iterations == 60
+        # the instance exercises both shrinkage branches and a rising penalty
+        active = [np.count_nonzero(np.abs(E).sum(axis=0)) for E in report.e_history]
+        assert 0 < max(active) and min(active[20:]) < 8
+        assert report.mu_history[-1] > report.mu_history[0]
+        eta = ETA_MARGIN * float(np.linalg.eigvalsh(D)[-1])
+        n = 8
+        Z, E, Xi = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+        for k in range(60):
+            mu = report.mu_history[k]
+            E = e_step(Z, Xi, mu, D)
+            Z = z_step(Z, E, Xi, mu, eta, cfg.lam, D)
+            Xi = Xi + mu * (np.eye(n) - Z - E)
+            assert np.max(np.abs(Z - report.z_history[k])) <= 1e-10
+            assert np.max(np.abs(E - report.e_history[k])) <= 1e-10
+
+    def test_objective_matches_fresh_nuclear_norm(self):
+        points = random_points(24, 8, 10, 2)
+        D = build_delta(points).values
+        cfg = AdmmConfig(lam=1.2, max_iters=60, eps1=1e-30)
+        _, _, report = admm_solve(D, cfg, track_iterates=True)
+        for k in range(60):
+            E = report.e_history[k]
+            slices = np.sum(np.sqrt(np.maximum(np.sum(E * (D @ E), axis=0), 0.0)))
+            nuclear = np.sum(np.linalg.svd(report.z_history[k], compute_uv=False))
+            fresh = slices + cfg.lam * nuclear
+            assert abs(report.objective_history[k] - fresh) <= 1e-10 * abs(fresh)

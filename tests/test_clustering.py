@@ -233,6 +233,16 @@ class TestClusterPipeline:
         assert diag["iterations"] > 0
         assert accuracy(labels, truth).accuracy == 1.0
 
+    def test_glrr_21_rank_matches_fresh_svd(self):
+        points, _ = two_cluster_points(seed=2)
+        for cfg in (AdmmConfig(lam=1.0), AdmmConfig(lam=0.5, max_iters=5)):
+            _, coeffs, diag = cluster_pipeline(
+                points, "glrr-21", NcutConfig(n_clusters=2, seed=0), admm_cfg=cfg
+            )
+            s = np.linalg.svd(coeffs.Z, compute_uv=False)
+            assert diag["rank_z"] == int(np.sum(s > 1e-10 * s[0]))
+            assert diag["rank_z"] >= 1
+
     def test_deterministic_end_to_end(self):
         points, _ = two_cluster_points(seed=3)
         cfg = NcutConfig(n_clusters=2, seed=11)
