@@ -25,6 +25,7 @@ from .clustering import (
     NcutConfig,
     affinity_from_Z,
     cluster_pipeline,
+    cluster_sweep,
     kmeans,
     ncut,
 )

@@ -64,8 +64,8 @@ class AdmmConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        if not (self.lam > 0.0):
-            raise InvalidConfigError(f"lambda must be positive, got {self.lam}")
+        if not (0.0 < self.lam < np.inf):
+            raise InvalidConfigError(f"lambda must be positive and finite, got {self.lam}")
         if not (self.mu0 > 0.0):
             raise InvalidConfigError(f"mu0 must be positive, got {self.mu0}")
         if self.rho0 < 1.0:

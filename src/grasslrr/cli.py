@@ -7,13 +7,14 @@ usage or input errors, 3 on numerical divergence or a failed decomposition.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 import numpy as np
 
 from .admm import AdmmConfig
-from .clustering import ClusterLabels, NcutConfig, cluster_pipeline
+from .clustering import METHODS, ClusterLabels, NcutConfig, cluster_sweep
 from .dataio import (
     Manifest,
     SynthSpec,
@@ -28,7 +29,7 @@ from .dataio import (
 )
 from .errors import GrassLrrError, InvalidInputError, NumericalDivergenceError
 from .evaluation import accuracy
-from .kernels import KernelSpec
+from .kernels import KERNEL_KINDS, KernelSpec
 
 # --config file entries for `cluster`; values are converted like their flags
 _CONFIG_CONVERTERS = {
@@ -73,10 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--out", required=True)
     synth.set_defaults(func=cmd_synth)
 
-    cluster = sub.add_parser("cluster", help="solve, build the affinity, and cluster")
+    # no abbreviated flags: --config detects explicit flags by their full names
+    cluster = sub.add_parser(
+        "cluster", help="solve, build the affinity, and cluster", allow_abbrev=False
+    )
     cluster.add_argument("--config", default=None, help="key=value defaults file")
     cluster.add_argument("--data", required=True, help="dataset dir or manifest path")
-    cluster.add_argument("--method", required=True, choices=("glrr-f", "glrr-21", "kglrr"))
+    cluster.add_argument("--method", required=True, choices=METHODS)
     cluster.add_argument(
         "--lambda", dest="lam", required=True, help="penalty, or comma list to sweep"
     )
@@ -86,9 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--seed", type=int, default=0)
     cluster.add_argument("--p", type=int, default=None)
     cluster.add_argument("--standardize", action="store_true")
-    cluster.add_argument(
-        "--kernel", default="projection", choices=("projection", "cc-max", "cc-sum", "ccp")
-    )
+    cluster.add_argument("--kernel", default="projection", choices=KERNEL_KINDS)
     cluster.add_argument("--alpha", type=float, default=0.5)
     cluster.add_argument("--mu0", type=float, default=0.01)
     cluster.add_argument("--rho0", type=float, default=1.9)
@@ -183,8 +185,8 @@ def _parse_lambdas(text: str) -> list[float]:
             value = float(part)
         except ValueError:
             raise InvalidInputError(f"bad lambda value {part!r}") from None
-        if not (value > 0.0):
-            raise InvalidInputError(f"lambda must be positive, got {value}")
+        if not (0.0 < value < math.inf):
+            raise InvalidInputError(f"lambda must be positive and finite, got {value}")
         out.append(value)
     if not out:
         raise InvalidInputError("no lambda values given")
@@ -212,35 +214,27 @@ def cmd_cluster(args) -> int:
         max_iters=args.kmeans_max_iters,
         seed=args.seed,
     )
-    kernel_spec = None
+    kernel_spec = admm_cfg = None
     if args.method == "kglrr":
         kernel_spec = KernelSpec(
             kind=args.kernel, alpha=args.alpha if args.kernel == "ccp" else None
         )
-
-    print("method lambda iterations converged accuracy")
-    for lam in lambdas:
-        admm_cfg = None
-        if args.method == "glrr-21":
-            admm_cfg = AdmmConfig(
-                lam=lam,
-                mu0=args.mu0,
-                rho0=args.rho0,
-                mu_max=args.mu_max,
-                eta=args.eta,
-                eps1=args.eps1,
-                eps2=args.eps2,
-                max_iters=args.max_iters,
-            )
-        labels, coeffs, diag = cluster_pipeline(
-            points,
-            args.method,
-            ncut_cfg,
-            lam=lam,
-            kernel_spec=kernel_spec,
-            admm_cfg=admm_cfg,
+    elif args.method == "glrr-21":
+        # cluster_sweep replaces lam with each swept value
+        admm_cfg = AdmmConfig(
+            lam=lambdas[0],
+            mu0=args.mu0,
+            rho0=args.rho0,
+            mu_max=args.mu_max,
+            eta=args.eta,
+            eps1=args.eps1,
+            eps2=args.eps2,
+            max_iters=args.max_iters,
         )
 
+    print("method lambda iterations converged accuracy")
+    sweep = cluster_sweep(points, args.method, ncut_cfg, lambdas, kernel_spec, admm_cfg)
+    for lam, (labels, coeffs, diag) in zip(lambdas, sweep):
         acc_text = "-"
         report = {
             "method": args.method,

@@ -76,8 +76,8 @@ def glrr_f_solve(G, lam: float) -> tuple[LowRankCoefficients, ClosedFormReport]:
     shrinkage rule is applied.
     """
     lam = float(lam)
-    if not (lam > 0.0):
-        raise InvalidConfigError(f"lambda must be positive, got {lam}")
+    if not (0.0 < lam < np.inf):
+        raise InvalidConfigError(f"lambda must be positive and finite, got {lam}")
     if isinstance(G, KernelMatrix):
         eig = G.eig
     else:

@@ -12,14 +12,15 @@ output labels identically under the same seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .admm import AdmmConfig, admm_solve
-from .closed_form import LowRankCoefficients, build_delta, kglrr_solve
+from .closed_form import LowRankCoefficients, build_delta, glrr_f_solve
 from .errors import InvalidConfigError, InvalidInputError
-from .kernels import KernelSpec
+from .kernels import KernelSpec, gram
 from .manifold import GrassmannPoint, as_matrix, canonical_signs
 from .rng import SplitMix64
 
@@ -176,14 +177,53 @@ def ncut(W, cfg: NcutConfig) -> ClusterLabels:
     return kmeans(emb, cfg.n_clusters, cfg.restarts, cfg.max_iters, cfg.seed)
 
 
-def block_structure_score(W: np.ndarray, labels: np.ndarray) -> float:
-    """Max cross-cluster affinity over max within-cluster affinity (0 when W=0)."""
-    same = labels[:, None] == labels[None, :]
-    within = float(W[same].max()) if same.any() else 0.0
-    across = float(W[~same].max()) if (~same).any() else 0.0
-    if within <= 0.0:
-        return np.inf if across > 0.0 else 0.0
-    return across / within
+def cluster_sweep(
+    points: list[GrassmannPoint],
+    method: str,
+    ncut_cfg: NcutConfig,
+    lambdas: Iterable[float],
+    kernel_spec: KernelSpec | None = None,
+    admm_cfg: AdmmConfig | None = None,
+) -> Iterator[tuple[ClusterLabels, LowRankCoefficients, dict]]:
+    """Solver -> affinity -> normalized cuts for each lambda, from one Gram matrix.
+
+    ``method`` selects the solver: ``glrr-21`` (ADMM with slice-wise l2/l1
+    error on ``build_delta``'s Gram matrix, ``admm_cfg`` with its lambda
+    replaced per run), ``kglrr`` (closed form on the kernel Gram matrix of
+    ``kernel_spec``), or ``glrr-f``, which is ``kglrr`` with the projection
+    kernel (``kernel_spec`` ignored).  The Gram matrix, and for the closed
+    forms its eigendecomposition, is built once; each lambda then yields
+    ``(labels, coeffs, diagnostics)`` as soon as it is solved.
+    """
+    if method not in METHODS:
+        raise InvalidConfigError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method == "glrr-f":
+        kernel_spec = KernelSpec(kind="projection")
+    elif method == "kglrr" and kernel_spec is None:
+        raise InvalidConfigError("kglrr requires a kernel spec")
+
+    G = build_delta(points) if method == "glrr-21" else gram(points, kernel_spec)
+    for lam in lambdas:
+        if method == "glrr-21":
+            cfg = AdmmConfig(lam=lam) if admm_cfg is None else replace(admm_cfg, lam=lam)
+            coeffs, _ecoef, report = admm_solve(G, cfg)
+            s = report.z_singular_values
+            rank_z = int(np.sum(s > 1e-10 * (s[0] if s.size else 0.0)))
+            lam, iterations, converged, clamp = cfg.lam, report.iterations, report.converged, 0.0
+        else:
+            coeffs, report = glrr_f_solve(G, lam)
+            lam, iterations, converged = report.lam, 0, True
+            clamp, rank_z = report.clamp_magnitude, report.kept_count
+        labels = ncut(affinity_from_Z(coeffs), ncut_cfg)
+        yield labels, coeffs, dict(
+            method=method,
+            lam=lam,
+            solver_report=report,
+            iterations=iterations,
+            converged=converged,
+            clamp_magnitude=clamp,
+            rank_z=rank_z,
+        )
 
 
 def cluster_pipeline(
@@ -194,48 +234,9 @@ def cluster_pipeline(
     kernel_spec: KernelSpec | None = None,
     admm_cfg: AdmmConfig | None = None,
 ) -> tuple[ClusterLabels, LowRankCoefficients, dict]:
-    """Solver -> affinity -> normalized cuts, with per-run diagnostics.
-
-    ``method`` selects the solver: ``glrr-21`` (ADMM with slice-wise l2/l1
-    error), ``kglrr`` (closed form on a kernel Gram matrix), or ``glrr-f``,
-    which is ``kglrr`` with the projection kernel (``kernel_spec`` ignored).
-    """
-    if method not in METHODS:
-        raise InvalidConfigError(f"unknown method {method!r}; expected one of {METHODS}")
-
-    diagnostics: dict = {"method": method}
-    if method == "glrr-21":
-        if admm_cfg is None:
-            if lam is None:
-                raise InvalidConfigError("glrr-21 requires lambda or an ADMM config")
-            admm_cfg = AdmmConfig(lam=lam)
-        coeffs, _ecoef, report = admm_solve(build_delta(points), admm_cfg)
-        s = report.z_singular_values
-        rank_z = int(np.sum(s > 1e-10 * (s[0] if s.size else 0.0)))
-        diagnostics.update(
-            lam=admm_cfg.lam,
-            solver_report=report,
-            iterations=report.iterations,
-            converged=report.converged,
-            clamp_magnitude=0.0,
-            rank_z=rank_z,
-        )
-    else:
-        if method == "glrr-f":
-            kernel_spec = KernelSpec(kind="projection")
-        if lam is None or kernel_spec is None:
-            raise InvalidConfigError(f"{method} requires lambda (and, for kglrr, a kernel spec)")
-        coeffs, report = kglrr_solve(points, kernel_spec, lam)
-        diagnostics.update(
-            lam=float(lam),
-            solver_report=report,
-            iterations=0,
-            converged=True,
-            clamp_magnitude=report.clamp_magnitude,
-            rank_z=report.kept_count,
-        )
-
-    W = affinity_from_Z(coeffs)
-    labels = ncut(W, ncut_cfg)
-    diagnostics["block_score"] = block_structure_score(W, labels.labels)
-    return labels, coeffs, diagnostics
+    """``cluster_sweep`` over the single lambda ``lam``; for glrr-21 ``admm_cfg.lam`` wins."""
+    if method == "glrr-21" and admm_cfg is not None:
+        lam = admm_cfg.lam
+    if lam is None and method in METHODS:
+        raise InvalidConfigError(f"{method} requires lambda (or, for glrr-21, an ADMM config)")
+    return next(cluster_sweep(points, method, ncut_cfg, [lam], kernel_spec, admm_cfg))

@@ -338,6 +338,11 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigError):
             AdmmConfig(lam=1.0, max_iters=-1)
 
+    def test_non_finite_lambda_rejected(self):
+        for lam in (np.inf, np.nan):
+            with pytest.raises(InvalidConfigError, match="finite"):
+                AdmmConfig(lam=lam)
+
 
 class TestStopReason:
     def test_converged_returns_last_iterate(self):

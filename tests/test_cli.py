@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -30,6 +31,21 @@ def run_synth(tmp_path, seed=7, sigma="0.05"):
     )
     assert code == 0
     return out
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls to grasslrr.<module>.<name> through every package namespace binding it."""
+    fn = getattr(importlib.import_module(f"grasslrr.{module}"), name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "grasslrr" and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 class TestSynthCommand:
@@ -203,6 +219,16 @@ class TestClusterCommand:
                      "--lambda", "-2", "--clusters", "4", "--out", str(data / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("method", ["glrr-f", "glrr-21"])
+    def test_non_finite_lambda_is_input_error(self, tmp_path, capsys, method):
+        data = run_synth(tmp_path, seed=19)
+        for lam in ("inf", "0.5,inf", "1e400", "nan"):
+            code = main(["cluster", "--data", str(data), "--method", method,
+                         "--lambda", lam, "--clusters", "4", "--out", str(tmp_path / "o")])
+            assert code == 2
+            assert "finite" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
+
     def test_lambda_directory_collision_is_input_error(self, tmp_path, capsys):
         data = run_synth(tmp_path, seed=19)
         for lams in ("1,1.0000001", "1,1", "0.5,1,1.0"):
@@ -263,10 +289,25 @@ class TestClusterCommand:
         def explode(*args, **kwargs):
             raise NumericalDivergenceError("non-finite iterate at iteration 5")
 
-        monkeypatch.setattr("grasslrr.cli.cluster_pipeline", explode)
+        monkeypatch.setattr("grasslrr.cli.cluster_sweep", explode)
         code = main(["cluster", "--data", str(data), "--method", "glrr-21",
                      "--lambda", "1", "--clusters", "4", "--out", str(tmp_path / "o")])
         assert code == 3
+
+    def test_abbreviated_flag_is_usage_error(self, tmp_path):
+        # an abbreviation would slip past --config's explicit-flag check and
+        # let the file's max-iters=7 win over --max 2
+        data = run_synth(tmp_path, seed=31)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max-iters=7\n")
+        args = ["cluster", "--config", str(cfg), "--data", str(data), "--method", "glrr-21",
+                "--lambda", "1", "--clusters", "4", "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as err:
+            main(args + ["--max", "2"])
+        assert err.value.code == 2
+        assert not (tmp_path / "o").exists()
+        assert main(args + ["--max-iters", "2"]) == 0
+        assert load_report(tmp_path / "o" / "report.txt")["iterations"] == "2"
 
     def test_config_file_defaults(self, tmp_path, capsys):
         data = run_synth(tmp_path, seed=29)
@@ -296,6 +337,37 @@ class TestClusterCommand:
                      "--method", "glrr-f", "--lambda", "1",
                      "--clusters", "4", "--out", str(tmp_path / "o")])
         assert code == 2
+
+
+class TestSweepBuildsOnce:
+    """A λ sweep builds its Gram matrix, and any eigendecomposition of it, once."""
+
+    @pytest.mark.parametrize("method, extra", [("glrr-f", []), ("kglrr", ["--kernel", "cc-sum"])])
+    def test_closed_forms_one_gram_one_eigendecomposition(
+        self, tmp_path, monkeypatch, method, extra
+    ):
+        data = run_synth(tmp_path, seed=37)
+        grams = count_calls(monkeypatch, "kernels", "assemble_gram")
+        eigs = count_calls(monkeypatch, "manifold", "sym_eig")
+        code = main(["cluster", "--data", str(data), "--method", method,
+                     "--lambda", "0.1,0.5,1", "--clusters", "4",
+                     "--out", str(tmp_path / "o")] + extra)
+        assert code == 0
+        for lam in ("0.1", "0.5", "1"):
+            assert (tmp_path / "o" / f"lam_{lam}" / "Z.mat").exists()
+        assert len(grams) == 1
+        assert len(eigs) == 1
+
+    def test_glrr_21_one_delta(self, tmp_path, monkeypatch):
+        data = run_synth(tmp_path, seed=37)
+        deltas = count_calls(monkeypatch, "closed_form", "build_delta")
+        code = main(["cluster", "--data", str(data), "--method", "glrr-21",
+                     "--lambda", "0.5,1", "--max-iters", "10", "--clusters", "4",
+                     "--out", str(tmp_path / "o")])
+        assert code == 0
+        for lam in ("0.5", "1"):
+            assert (tmp_path / "o" / f"lam_{lam}" / "Z.mat").exists()
+        assert len(deltas) == 1
 
 
 class TestEvalCommand:

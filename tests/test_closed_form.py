@@ -176,6 +176,12 @@ class TestGlrrFSolve:
         with pytest.raises(InvalidConfigError):
             glrr_f_solve(np.eye(3), -1.0)
 
+    def test_rejects_non_finite_lambda(self):
+        # an infinite lambda would shrink every eigenvalue to zero and "solve" with Z = 0
+        for lam in (np.inf, np.nan):
+            with pytest.raises(InvalidConfigError, match="finite"):
+                glrr_f_solve(np.eye(3), lam)
+
 
 class TestKglrrSolve:
     def test_projection_path_equals_direct(self):

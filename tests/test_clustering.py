@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from grasslrr import (
     AdmmConfig,
+    admm_solve,
     ClusterLabels,
     InvalidConfigError,
     KernelSpec,
@@ -13,7 +15,11 @@ from grasslrr import (
     SynthSpec,
     accuracy,
     affinity_from_Z,
+    build_delta,
     cluster_pipeline,
+    cluster_sweep,
+    glrr_f_solve,
+    gram,
     kmeans,
     ncut,
     orthonormalize,
@@ -262,6 +268,70 @@ class TestClusterPipeline:
             cluster_pipeline(points, "glrr-f", NcutConfig(n_clusters=2))
         with pytest.raises(InvalidConfigError):
             cluster_pipeline(points, "kglrr", NcutConfig(n_clusters=2), lam=0.5)
+
+
+def assert_bit_identical(a, b):
+    """Recursive exact equality over dataclasses, dicts, sequences and arrays."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b)
+        for f in dataclasses.fields(a):
+            assert_bit_identical(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert_bit_identical(a[key], b[key])
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_bit_identical(x, y)
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    else:
+        assert type(a) is type(b) and a == b
+
+
+SWEEP_CASES = [
+    ("glrr-f", {}),
+    ("kglrr", {"kernel_spec": KernelSpec(kind="cc-sum")}),
+    ("glrr-21", {"admm_cfg": AdmmConfig(lam=1.0, max_iters=40)}),
+]
+
+
+class TestClusterSweep:
+    @pytest.mark.parametrize("method, kwargs", SWEEP_CASES, ids=[c[0] for c in SWEEP_CASES])
+    def test_matches_separate_pipeline_calls(self, method, kwargs):
+        points, _ = two_cluster_points(seed=6, per_cluster=6)
+        cfg = NcutConfig(n_clusters=2, seed=5)
+        lambdas = [0.05, 0.5, 2.0]
+        swept = list(cluster_sweep(points, method, cfg, lambdas, **kwargs))
+        assert len(swept) == len(lambdas)
+        for lam, result in zip(lambdas, swept):
+            single = dict(kwargs)
+            if method == "glrr-21":
+                single["admm_cfg"] = dataclasses.replace(kwargs["admm_cfg"], lam=lam)
+            assert_bit_identical(result, cluster_pipeline(points, method, cfg, lam=lam, **single))
+            assert result[2]["lam"] == lam
+
+    @pytest.mark.parametrize("method, kwargs", SWEEP_CASES, ids=[c[0] for c in SWEEP_CASES])
+    def test_each_lambda_matches_a_fresh_gram_solve(self, method, kwargs):
+        # the shared Gram matrix must come out of every solve untouched
+        points, _ = two_cluster_points(seed=7, per_cluster=6)
+        lambdas = [2.0, 0.05, 0.5]
+        swept = cluster_sweep(points, method, NcutConfig(n_clusters=2), lambdas, **kwargs)
+        for lam, (_, coeffs, _) in zip(lambdas, swept):
+            if method == "glrr-21":
+                cfg = dataclasses.replace(kwargs["admm_cfg"], lam=lam)
+                fresh = admm_solve(build_delta(points), cfg)[0]
+            else:
+                spec = kwargs.get("kernel_spec", KernelSpec(kind="projection"))
+                fresh = glrr_f_solve(gram(points, spec), lam)[0]
+            assert np.array_equal(coeffs.Z, fresh.Z)
+
+    def test_unknown_method_and_missing_kernel_rejected(self):
+        points, _ = two_cluster_points(seed=8)
+        for method, kwargs in (("glrr-x", {}), ("kglrr", {})):
+            with pytest.raises(InvalidConfigError):
+                next(cluster_sweep(points, method, NcutConfig(n_clusters=2), [0.5], **kwargs))
 
 
 class TestClusterLabelsType:
