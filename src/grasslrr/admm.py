@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .closed_form import DeltaMatrix, LowRankCoefficients
 from .errors import (
@@ -116,11 +115,15 @@ def initial_state(n: int, mu0: float) -> AdmmState:
 def _svt(M: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """SVT of a finite M and its thresholded singular values, in descending order.
 
-    numpy's gesdd can fail to converge on finite input; gesvd is then tried.
+    numpy's gesdd can fail to converge on finite input; scipy's gesvd is then
+    tried.  scipy is imported only then, so a run whose SVDs converge never
+    loads it.
     """
     try:
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError:
+        import scipy.linalg
+
         U, s, Vt = scipy.linalg.svd(M, full_matrices=False, lapack_driver="gesvd")
     shrunk = np.maximum(s - tau, 0.0)
     return (U * shrunk) @ Vt, shrunk

@@ -22,6 +22,7 @@ from .dataio import (
     load_dataset,
     load_manifest,
     read_labels,
+    read_lines,
     save_results,
     synth_union,
     write_labels,
@@ -121,21 +122,25 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
     for token in argv:
         if token.startswith("--"):
             explicit.add(token[2:].split("=", 1)[0])
-    with open(args.config, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            key, sep, value = stripped.partition("=")
-            key = key.strip()
-            if not sep or key not in _CONFIG_CONVERTERS:
-                raise InvalidInputError(
-                    f"{args.config}: line {line_no}: unknown config entry {stripped!r}"
-                )
-            if key in explicit:
-                continue
-            dest = "lam" if key == "lambda" else key.replace("-", "_")
-            setattr(args, dest, _CONFIG_CONVERTERS[key](value.strip()))
+    for line_no, line in enumerate(read_lines(args.config), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, sep, value = stripped.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or key not in _CONFIG_CONVERTERS:
+            raise InvalidInputError(
+                f"{args.config}: line {line_no}: unknown config entry {stripped!r}"
+            )
+        if key in explicit:
+            continue
+        try:
+            converted = _CONFIG_CONVERTERS[key](value)
+        except ValueError:
+            raise InvalidInputError(
+                f"{args.config}: line {line_no}: bad value for {key}: {value!r}"
+            ) from None
+        setattr(args, "lam" if key == "lambda" else key.replace("-", "_"), converted)
 
 
 def cmd_synth(args) -> int:
@@ -204,7 +209,7 @@ def cmd_cluster(args) -> int:
         truth_labels = read_labels(args.truth)
         if truth_labels.shape[0] != len(points):
             raise InvalidInputError(
-                f"truth has {truth_labels.shape[0]} labels for {len(points)} points"
+                f"{args.truth}: {truth_labels.shape[0]} labels for {len(points)} points"
             )
         truth = ClusterLabels(labels=truth_labels, n_clusters=int(truth_labels.max()) + 1)
 
@@ -265,7 +270,8 @@ def cmd_eval(args) -> int:
     truth_values = read_labels(args.truth)
     if pred_values.shape[0] != truth_values.shape[0]:
         raise InvalidInputError(
-            f"label files differ in length: {pred_values.shape[0]} vs {truth_values.shape[0]}"
+            f"label files differ in length: {args.pred} has {pred_values.shape[0]}, "
+            f"{args.truth} has {truth_values.shape[0]}"
         )
     if pred_values.shape[0] == 0:
         raise InvalidInputError("label files are empty")

@@ -70,10 +70,21 @@ def write_matrix(path, M) -> None:
     M = as_matrix(M, "matrix")
     rows, cols = M.shape
     lines = [f"{rows} {cols}"]
-    for r in range(rows):
-        lines.append(" ".join(float(v).hex() for v in M[r]))
+    # row.tolist() yields Python floats, so float.hex needs no per-value
+    # conversion; one row at a time keeps the boxed floats of one row alive
+    lines.extend(" ".join(map(float.hex, row.tolist())) for row in M)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, newlines removed; undecodable bytes are an input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        raise InvalidInputError(f"{path}: line {line_no} is not valid UTF-8") from None
 
 
 def _parse_value(token: str, path, line_no: int, col_no: int) -> float:
@@ -94,9 +105,7 @@ def _parse_value(token: str, path, line_no: int, col_no: int) -> float:
 def read_matrix(path) -> np.ndarray:
     if not os.path.exists(path):
         raise InvalidInputError(f"matrix file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [ln.strip() for ln in fh]
-    lines = [ln for ln in raw if ln]
+    lines = [ln for ln in map(str.strip, read_lines(path)) if ln]
     if not lines:
         raise InvalidInputError(f"{path}: empty matrix file")
     header = lines[0].split()
@@ -129,29 +138,28 @@ def load_manifest(path) -> Manifest:
         raise InvalidInputError(f"manifest not found: {path}")
     entries = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split("\t")
-            if len(parts) != 2:
-                raise InvalidInputError(
-                    f"{path}: line {line_no} must be '<path>\\t<label>', got {stripped!r}"
-                )
-            rel, label_text = parts[0].strip(), parts[1].strip()
-            try:
-                label = int(label_text)
-            except ValueError:
-                raise InvalidInputError(
-                    f"{path}: line {line_no} has non-integer label {label_text!r}"
-                ) from None
-            if label < 0:
-                raise InvalidInputError(f"{path}: line {line_no} has negative label {label}")
-            if rel in seen:
-                raise InvalidInputError(f"{path}: duplicate entry {rel!r}")
-            seen.add(rel)
-            entries.append((rel, label))
+    for line_no, line in enumerate(read_lines(path), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split("\t")
+        if len(parts) != 2:
+            raise InvalidInputError(
+                f"{path}: line {line_no} must be '<path>\\t<label>', got {stripped!r}"
+            )
+        rel, label_text = parts[0].strip(), parts[1].strip()
+        try:
+            label = int(label_text)
+        except ValueError:
+            raise InvalidInputError(
+                f"{path}: line {line_no} has non-integer label {label_text!r}"
+            ) from None
+        if label < 0:
+            raise InvalidInputError(f"{path}: line {line_no} has negative label {label}")
+        if rel in seen:
+            raise InvalidInputError(f"{path}: duplicate entry {rel!r}")
+        seen.add(rel)
+        entries.append((rel, label))
     return Manifest(entries=entries, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -251,17 +259,16 @@ def read_labels(path) -> np.ndarray:
     if not os.path.exists(path):
         raise InvalidInputError(f"labels file not found: {path}")
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                values.append(int(stripped))
-            except ValueError:
-                raise InvalidInputError(
-                    f"{path}: line {line_no} is not an integer: {stripped!r}"
-                ) from None
+    for line_no, line in enumerate(read_lines(path), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            values.append(int(stripped))
+        except ValueError:
+            raise InvalidInputError(
+                f"{path}: line {line_no} is not an integer: {stripped!r}"
+            ) from None
     return np.asarray(values, dtype=np.int64)
 
 

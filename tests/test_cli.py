@@ -1,5 +1,6 @@
 import importlib
 import os
+import shutil
 import subprocess
 import sys
 
@@ -403,3 +404,100 @@ class TestEvalCommand:
         a = tmp_path / "a.txt"
         a.write_text("0\n")
         assert main(["eval", "--pred", str(a), "--truth", str(tmp_path / "nope.txt")]) == 2
+
+
+# (target, content, text expected in the message); targets: "manifest" and
+# "matrix" (the first point's file) of a dataset, "truth" (cluster --truth),
+# "pred" (eval --pred), "config" (cluster --config)
+MALFORMED_INPUTS = {
+    "manifest-non-utf8": ("manifest", b"points/point_000.mat\t0\n\xff\t1\n", "line 2"),
+    "manifest-short-row": ("manifest", b"points/point_000.mat\n", "line 1"),
+    "manifest-non-numeric": ("manifest", b"points/point_000.mat\tone\n", "line 1"),
+    "manifest-nan": ("manifest", b"points/point_000.mat\tnan\n", "line 1"),
+    "manifest-inf": ("manifest", b"points/point_000.mat\tinf\n", "line 1"),
+    "matrix-non-utf8": ("matrix", b"2 2\n1 0\n0 \xff\n", "line 3"),
+    "matrix-short-row": ("matrix", b"2 2\n1 0\n0\n", "line 3"),
+    "matrix-non-numeric": ("matrix", b"2 2\n1 zero\n0 1\n", "line 2"),
+    "matrix-nan": ("matrix", b"2 2\nnan 0\n0 1\n", "line 2"),
+    "matrix-inf": ("matrix", b"2 2\n1 0\n0 -inf\n", "line 3"),
+    "matrix-header-rows": ("matrix", b"3 2\n1 0\n0 1\n", "3 rows"),
+    "matrix-header-text": ("matrix", b"two 2\n1 0\n0 1\n", "header"),
+    "truth-non-utf8": ("truth", b"0\n\xff\n", "line 2"),
+    "truth-non-numeric": ("truth", b"0\nB\n", "line 2"),
+    "truth-nan": ("truth", b"nan\n", "line 1"),
+    "truth-short": ("truth", b"0\n1\n", "2 labels"),
+    "pred-non-utf8": ("pred", b"\xff\n", "line 1"),
+    "pred-non-numeric": ("pred", b"0\n0.5\n", "line 2"),
+    "pred-inf": ("pred", b"0\ninf\n", "line 2"),
+    "pred-short": ("pred", b"0\n", "length"),
+    "config-non-utf8": ("config", b"seed=1\nrestarts=\xff\n", "line 2"),
+    "config-unknown-key": ("config", b"wibble=1\n", "line 1"),
+    "config-missing-equals": ("config", b"seed\n", "line 1"),
+    "config-bad-int": ("config", b"seed=x\n", "line 1: bad value for seed"),
+    "config-bad-float": ("config", b"seed=1\nalpha=half\n", "line 2: bad value for alpha"),
+    "config-nan-int": ("config", b"restarts=nan\n", "line 1: bad value for restarts"),
+    "config-inf-int": ("config", b"p=inf\n", "line 1: bad value for p"),
+}
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small") / "data"
+    assert main(["synth", "--clusters", "2", "--per-cluster", "3", "--d", "6", "--p", "2",
+                 "--seed", "3", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_is_exit_2(case, small_dataset, tmp_path, capsys):
+    target, content, expected = MALFORMED_INPUTS[case]
+    data = tmp_path / "data"
+    shutil.copytree(small_dataset, data)
+    bad = {
+        "manifest": data / "manifest.txt",
+        "matrix": data / "points" / "point_000.mat",
+    }.get(target, tmp_path / f"bad_{target}")
+    bad.write_bytes(content)
+    if target == "pred":
+        argv = ["eval", "--pred", str(bad), "--truth", str(data / "truth.txt")]
+    else:
+        argv = ["cluster", "--data", str(data), "--method", "glrr-f", "--lambda", "1",
+                "--clusters", "2", "--out", str(tmp_path / "o")]
+        if target == "truth":
+            argv += ["--truth", str(bad)]
+        elif target == "config":
+            argv += ["--config", str(bad)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:"), err
+    assert "Traceback" not in err
+    assert bad.name in err
+    assert expected in err
+
+
+@pytest.mark.parametrize("method, extra", [
+    ("glrr-f", []),
+    ("kglrr", ["--kernel", "cc-sum"]),
+    ("glrr-21", ["--max-iters", "20"]),
+])
+def test_cluster_run_loads_no_scipy(method, extra, tmp_path):
+    # scipy is imported only when numpy's gesdd fails; a normal run, scored
+    # against --truth, must not load it
+    data = run_synth(tmp_path, seed=41)
+    argv = ["cluster", "--data", str(data), "--method", method, "--lambda", "0.5,1",
+            "--clusters", "4", "--truth", str(data / "truth.txt"),
+            "--out", str(tmp_path / "o")] + extra
+    script = (
+        "import sys\n"
+        "from grasslrr.cli import main\n"
+        f"code = main({argv!r})\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "print(code, len(loaded), sorted(loaded)[:5])\n"
+    )
+    src = os.path.dirname(os.path.dirname(grasslrr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 0 []"

@@ -47,6 +47,22 @@ class TestMatrixRoundTrip:
         assert np.array_equal(out, M)
         assert all(a.hex() == b.hex() for a, b in zip(M.reshape(-1), out.reshape(-1)))
 
+    def test_hex_bytes_match_per_value_formula(self, tmp_path):
+        tiny = np.finfo(np.float64).tiny
+        big = np.finfo(np.float64).max
+        M = np.array([
+            [-0.0, 0.0, 5e-324, -5e-324],
+            [tiny / 3, -tiny, big, -big],
+            [1.0, -2.0, 3.0, 2.0**52],
+            [0.1, -1e-300, 1e300, np.nextafter(1.0, 2.0)],
+        ])
+        path = tmp_path / "m.mat"
+        write_matrix(path, M)
+        expected = "4 4\n" + "".join(
+            " ".join(float(v).hex() for v in row) + "\n" for row in M
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+
     def test_decimal_accepted(self, tmp_path):
         path = tmp_path / "m.mat"
         path.write_text("2 2\n1.5 -2.25\n0.125 3\n")

@@ -120,3 +120,11 @@ class TestHungarian:
             hungarian(np.array([[np.inf, 1.0], [1.0, 0.0]]))
         with pytest.raises(InvalidInputError):
             hungarian(np.zeros((0, 0)))
+
+    def test_extreme_magnitudes_do_not_overflow(self):
+        # entries near the float limit: the potentials must stay finite
+        big = np.finfo(np.float64).max
+        cost = np.array([[big, -big, 0.0], [-big, big, 1.0], [0.0, 1.0, -big]])
+        with np.errstate(all="raise"):
+            assignment = hungarian(cost)
+        assert assignment == [1, 0, 2]
