@@ -27,6 +27,7 @@ the same steps from scratch over the same private helpers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +66,15 @@ class AdmmConfig:
     def __post_init__(self):
         if not (0.0 < self.lam < np.inf):
             raise InvalidConfigError(f"lambda must be positive and finite, got {self.lam}")
+        finite = {"mu0": self.mu0, "rho0": self.rho0, "eps1": self.eps1, "eps2": self.eps2}
+        if self.eta is not None:
+            finite["eta"] = self.eta
+        for name, value in finite.items():
+            if not math.isfinite(value):
+                raise InvalidConfigError(f"{name} must be finite, got {value}")
+        # mu_max=inf is legal: mu then grows by the rho rule without a cap
+        if math.isnan(self.mu_max):
+            raise InvalidConfigError("mu_max must not be nan")
         if not (self.mu0 > 0.0):
             raise InvalidConfigError(f"mu0 must be positive, got {self.mu0}")
         if self.rho0 < 1.0:

@@ -1,7 +1,8 @@
 """Command-line pipeline: generate fixtures, cluster subspace data, score labels.
 
 Exit codes: 0 on success (including a flagged non-converged solve), 2 on
-usage or input errors, 3 on numerical divergence or a failed decomposition.
+usage or input errors and when memory runs out, 3 on numerical divergence or a
+failed decomposition.
 """
 
 from __future__ import annotations
@@ -298,6 +299,11 @@ def main(argv=None) -> int:
         return 3
     except (GrassLrrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy's message names the failed allocation's size and shape
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

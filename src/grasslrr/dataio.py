@@ -2,9 +2,12 @@
 
 Matrix files carry a "<rows> <cols>" header followed by one line per row;
 values are written as lowercase hexadecimal floats (``float.hex``) so a
-write/read round trip is bit-exact, while plain decimals are accepted on
-read.  Manifests are UTF-8 text with one "<relative-path><TAB><label>" entry
-per line and ``#`` comments.
+write/read round trip is bit-exact, while plain decimals in ``float()``
+syntax are accepted on read.  Both directions work on blocks of rows: the
+writer formats them from the float64 bit fields, and the reader converts a
+decimal block with one numpy call, keeping the per-token parser for hex
+tokens and for the positioned error messages.  Manifests are UTF-8 text
+with one "<relative-path><TAB><label>" entry per line and ``#`` comments.
 """
 
 from __future__ import annotations
@@ -66,15 +69,70 @@ class SynthSpec:
             raise InvalidInputError("orthogonal centers need C*p <= d")
 
 
+# float.hex pieces, written from the float64 bit fields: sign, "0x1."/"0x0.",
+# 13 mantissa nibbles and a "p<exp>" suffix per value, NUL-padded to a fixed
+# width and squeezed out before writing
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+_HEX_PAIRS = _HEX_DIGITS[np.arange(256)[:, None] >> np.array([4, 0]) & 15]  # octet -> 2 digits
+_ZERO_FIELD = 2047  # the inf/nan exponent never reaches the writer; zeros borrow its row
+_SUFFIX_WIDTH = 6  # "p-1022"
+_CELL_WIDTH = 1 + 4 + 13 + _SUFFIX_WIDTH + 1  # sign, lead, nibbles, suffix, separator
+_BLOCK_VALUES = 1 << 15  # values per block, written or parsed: a few MB of temporaries
+
+
+def _exponent_suffixes() -> np.ndarray:
+    """Row e holds the float.hex suffix of exponent field e; subnormals share p-1022."""
+    exponent = np.maximum(np.arange(_ZERO_FIELD + 1), 1) - 1023
+    exponent[_ZERO_FIELD] = 0
+    magnitude = np.abs(exponent)[:, None]
+    place = np.array([1000, 100, 10, 1])
+    digits = (magnitude // place % 10 + ord("0")).astype(np.uint8)
+    digits[(magnitude < place) & (place > 1)] = 0  # leading zeros become NUL padding
+    table = np.empty((_ZERO_FIELD + 1, _SUFFIX_WIDTH), dtype=np.uint8)
+    table[:, 0] = ord("p")
+    table[:, 1] = np.where(exponent < 0, ord("-"), ord("+"))
+    table[:, 2:] = digits
+    return table
+
+
+_EXPONENT_SUFFIXES = _exponent_suffixes()
+
+
+def _block_rows(cols: int) -> int:
+    return max(1, _BLOCK_VALUES // cols)
+
+
+def _hex_block(block: np.ndarray) -> bytes:
+    """The lines of a finite float64 block, each value formatted as ``float.hex`` does."""
+    rows, cols = block.shape
+    bits = np.ascontiguousarray(block, dtype="<f8").view("<u8").reshape(-1)
+    # little-endian octets: 7 holds the sign, 6 the top mantissa nibble, 5..0 the rest
+    octets = bits.view(np.uint8).reshape(-1, 8)
+    field = (bits >> np.uint64(52)).astype(np.intp) & 2047
+    zero = (bits << np.uint64(1)) == 0
+    cells = np.zeros((bits.size, _CELL_WIDTH), dtype=np.uint8)
+    cells[:, 0] = np.where(octets[:, 7] >> 7, ord("-"), 0)
+    cells[:, 1:5] = np.frombuffer(b"0x1.", dtype=np.uint8)
+    cells[field == 0, 3] = ord("0")
+    cells[:, 5] = np.take(_HEX_DIGITS, octets[:, 6] & 15)
+    cells[:, 6:18] = np.take(_HEX_PAIRS, octets[:, 5::-1], axis=0).reshape(-1, 12)
+    cells[zero, 6:18] = 0  # 0x0.0p+0
+    field[zero] = _ZERO_FIELD
+    cells[:, 18:24] = np.take(_EXPONENT_SUFFIXES, field, axis=0)
+    cells = cells.reshape(rows, cols, _CELL_WIDTH)
+    cells[:, :-1, -1] = ord(" ")
+    cells[:, -1, -1] = ord("\n")
+    return cells.tobytes().translate(None, b"\0")
+
+
 def write_matrix(path, M) -> None:
     M = as_matrix(M, "matrix")
     rows, cols = M.shape
-    lines = [f"{rows} {cols}"]
-    # row.tolist() yields Python floats, so float.hex needs no per-value
-    # conversion; one row at a time keeps the boxed floats of one row alive
-    lines.extend(" ".join(map(float.hex, row.tolist())) for row in M)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    step = _block_rows(cols)
+    with open(path, "wb") as fh:
+        fh.write(f"{rows} {cols}\n".encode())
+        for start in range(0, rows, step):
+            fh.write(_hex_block(M[start : start + step]))
 
 
 def read_lines(path) -> list[str]:
@@ -102,35 +160,67 @@ def _parse_value(token: str, path, line_no: int, col_no: int) -> float:
     return value
 
 
-def read_matrix(path) -> np.ndarray:
-    if not os.path.exists(path):
-        raise InvalidInputError(f"matrix file not found: {path}")
-    lines = [ln for ln in map(str.strip, read_lines(path)) if ln]
-    if not lines:
-        raise InvalidInputError(f"{path}: empty matrix file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise InvalidInputError(f"{path}: header must be '<rows> <cols>', got {lines[0]!r}")
-    try:
-        rows, cols = int(header[0]), int(header[1])
-    except ValueError:
-        raise InvalidInputError(f"{path}: non-integer header {lines[0]!r}") from None
-    if rows < 1 or cols < 1:
-        raise InvalidInputError(f"{path}: header dimensions must be positive")
-    if len(lines) - 1 != rows:
-        raise InvalidInputError(
-            f"{path}: header promises {rows} rows but file has {len(lines) - 1}"
-        )
-    M = np.empty((rows, cols))
-    for r, line in enumerate(lines[1:], start=2):
+def _parse_rows(path, cols, body) -> np.ndarray:
+    """Per-token parse of numbered body lines; raises the positioned input errors."""
+    values = []
+    for line_no, line in body:
         tokens = line.split()
         if len(tokens) != cols:
             raise InvalidInputError(
-                f"{path}: line {r} has {len(tokens)} values, header promises {cols}"
+                f"{path}: line {line_no} has {len(tokens)} values, header promises {cols}"
             )
-        for c, tok in enumerate(tokens):
-            M[r - 2, c] = _parse_value(tok, path, r, c + 1)
-    return M
+        values += [_parse_value(tok, path, line_no, c) for c, tok in enumerate(tokens, 1)]
+    return np.array(values, dtype=np.float64).reshape(len(body), cols)
+
+
+def _parse_decimal(texts, cols):
+    """Decimal rows converted by numpy a block at a time, or None to defer to ``_parse_rows``.
+
+    numpy converts each str token with float(), so values and accepted
+    syntax are the per-token parser's; whatever it rejects, a row of the
+    wrong length and any non-finite value are left to the per-token parser
+    and its positioned message.
+    """
+    blocks = []
+    step = _block_rows(cols)
+    for start in range(0, len(texts), step):
+        chunk = texts[start : start + step]
+        try:
+            block = np.array([ln.split() for ln in chunk], dtype=np.float64)
+        except ValueError:
+            return None
+        if block.shape != (len(chunk), cols) or not np.isfinite(block).all():
+            return None
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def read_matrix(path) -> np.ndarray:
+    if not os.path.exists(path):
+        raise InvalidInputError(f"matrix file not found: {path}")
+    # (physical line number, stripped text) of every non-blank line
+    lines = [(no, ln) for no, ln in enumerate(map(str.strip, read_lines(path)), start=1) if ln]
+    if not lines:
+        raise InvalidInputError(f"{path}: empty matrix file")
+    header_text = lines[0][1]
+    header = header_text.split()
+    if len(header) != 2:
+        raise InvalidInputError(f"{path}: header must be '<rows> <cols>', got {header_text!r}")
+    try:
+        rows, cols = int(header[0]), int(header[1])
+    except ValueError:
+        raise InvalidInputError(f"{path}: non-integer header {header_text!r}") from None
+    if rows < 1 or cols < 1:
+        raise InvalidInputError(f"{path}: header dimensions must be positive")
+    body = lines[1:]
+    if len(body) != rows:
+        raise InvalidInputError(f"{path}: header promises {rows} rows but file has {len(body)}")
+    texts = [ln for _, ln in body]
+    if not any("x" in ln or "X" in ln for ln in texts):
+        M = _parse_decimal(texts, cols)
+        if M is not None:
+            return M
+    return _parse_rows(path, cols, body)
 
 
 def load_manifest(path) -> Manifest:

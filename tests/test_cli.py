@@ -501,3 +501,47 @@ def test_cluster_run_loads_no_scipy(method, extra, tmp_path):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 0 []"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--eps1", "inf"), ("--eps2", "inf"), ("--eps1", "nan"), ("--rho0", "inf"),
+    ("--rho0", "nan"), ("--mu0", "inf"), ("--mu0", "nan"), ("--eta", "inf"),
+    ("--eta", "nan"), ("--mu-max", "nan"),
+])
+def test_non_finite_admm_setting_is_exit_2(flag, value, small_dataset, tmp_path, capsys):
+    # an infinite tolerance used to stop after one iteration and report
+    # converged=true with a meaningless Z
+    capsys.readouterr()
+    code = main(["cluster", "--data", str(small_dataset), "--method", "glrr-21",
+                 "--lambda", "1", "--clusters", "2", "--max-iters", "5",
+                 "--out", str(tmp_path / "o"), flag, value])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:"), err
+    assert "Traceback" not in err
+    assert flag[2:].replace("-", "_") in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_unbounded_mu_max_is_allowed(small_dataset, tmp_path):
+    assert main(["cluster", "--data", str(small_dataset), "--method", "glrr-21",
+                 "--lambda", "1", "--clusters", "2", "--max-iters", "5", "--mu-max", "inf",
+                 "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("method", ["glrr-f", "kglrr", "glrr-21"])
+def test_out_of_memory_is_exit_2(method, small_dataset, tmp_path, monkeypatch, capsys):
+    # stands in for the N x N allocation of a too-large run, without making one
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 11.9 GiB for an array with shape "
+                          "(40000, 40000) and data type float64")
+
+    for mod in ("kernels", "closed_form"):
+        monkeypatch.setattr(f"grasslrr.{mod}.assemble_gram", exhausted)
+    capsys.readouterr()
+    code = main(["cluster", "--data", str(small_dataset), "--method", method,
+                 "--lambda", "1", "--clusters", "2", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: out of memory: Unable to allocate 11.9 GiB"), err
+    assert "Traceback" not in err

@@ -88,6 +88,47 @@ class TestMatrixRoundTrip:
         assert "line 3" in str(err.value)
         assert "column 2" in str(err.value)
 
+    @pytest.mark.parametrize("content, expected", [
+        ("2 2\n\n1 0\n0 x\n", "cannot parse value at line 4, column 2: 'x'"),
+        ("2 2\n\n1 0\n0 oops\n", "cannot parse value at line 4, column 2: 'oops'"),
+        ("2 2\n1 0\n\n  \n0 nan\n", "non-finite value at line 5, column 2"),
+        ("\n2 2\n1 0\n\n0\n", "line 5 has 1 values, header promises 2"),
+        # nothing is allocated from the header's column count before a row matches it
+        ("1 99999999999999999999\n1 2\n",
+         "line 2 has 2 values, header promises 99999999999999999999"),
+        ("2 4000000000\n1 2\n3 4\n", "line 2 has 2 values, header promises 4000000000"),
+    ])
+    def test_errors_name_physical_lines_and_sizes(self, tmp_path, content, expected):
+        # blank lines are skipped but still counted, so the message points
+        # at the line an editor shows
+        path = tmp_path / "m.mat"
+        path.write_text(content)
+        with pytest.raises(InvalidInputError) as err:
+            read_matrix(path)
+        assert str(err.value) == f"{path}: {expected}"
+
+    @pytest.mark.parametrize("token", [
+        "1_0", "1__0", "_1", "1_", "nan", "-nan", "infinity", "-Infinity", "1e400", "-1e400",
+        "\u0661\u0662", "\u0663.\u0665", "1,5", "0b1", "1j", "1e", "e1", ".5", "5.", "+1",
+        "1E-5", "1_000.000_1", "2.5e-324", "4.9e-324", "1.7976931348623157e308",
+    ])
+    def test_decimal_language_is_float(self, tmp_path, token):
+        # the decimal reader accepts exactly Python float() syntax, with
+        # float()'s value, and rejects non-finite results
+        path = tmp_path / "m.mat"
+        path.write_text(f"2 1\n1\n{token}\n", encoding="utf-8")
+        try:
+            value = float(token)
+        except ValueError:
+            value = None
+        if value is None or not np.isfinite(value):
+            with pytest.raises(InvalidInputError) as err:
+                read_matrix(path)
+            assert "line 3, column 1" in str(err.value)
+        else:
+            out = read_matrix(path)
+            assert out[1, 0].hex() == value.hex()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(InvalidInputError):
             read_matrix(tmp_path / "absent.mat")
