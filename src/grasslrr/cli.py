@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -33,32 +34,9 @@ from .errors import GrassLrrError, InvalidInputError, NumericalDivergenceError
 from .evaluation import accuracy
 from .kernels import KERNEL_KINDS, KernelSpec
 
-# --config file entries for `cluster`; values are converted like their flags
-_CONFIG_CONVERTERS = {
-    "data": str,
-    "method": str,
-    "lambda": str,
-    "clusters": int,
-    "out": str,
-    "truth": str,
-    "seed": int,
-    "p": int,
-    "standardize": lambda v: v.lower() in ("1", "true", "yes"),
-    "kernel": str,
-    "alpha": float,
-    "mu0": float,
-    "rho0": float,
-    "mu-max": float,
-    "eta": float,
-    "eps1": float,
-    "eps2": float,
-    "max-iters": int,
-    "restarts": int,
-    "kmeans-max-iters": int,
-}
 
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The ``grasslrr`` parser and its ``cluster`` subparser, whose defaults --config sets."""
     parser = argparse.ArgumentParser(
         prog="grasslrr",
         description="Cluster subspace-valued data by low-rank self-representation.",
@@ -76,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--out", required=True)
     synth.set_defaults(func=cmd_synth)
 
-    # no abbreviated flags: --config detects explicit flags by their full names
+    # an abbreviated flag is a usage error, as the README documents
     cluster = sub.add_parser(
         "cluster", help="solve, build the affinity, and cluster", allow_abbrev=False
     )
@@ -89,20 +67,21 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--clusters", type=int, required=True)
     cluster.add_argument("--out", required=True)
     cluster.add_argument("--truth", default=None, help="labels file for accuracy")
-    cluster.add_argument("--seed", type=int, default=0)
+    cluster.add_argument("--seed", type=int, default=NcutConfig.seed)
     cluster.add_argument("--p", type=int, default=None)
     cluster.add_argument("--standardize", action="store_true")
     cluster.add_argument("--kernel", default="projection", choices=KERNEL_KINDS)
-    cluster.add_argument("--alpha", type=float, default=0.5)
-    cluster.add_argument("--mu0", type=float, default=0.01)
-    cluster.add_argument("--rho0", type=float, default=1.9)
-    cluster.add_argument("--mu-max", type=float, default=1e10)
-    cluster.add_argument("--eta", type=float, default=None)
-    cluster.add_argument("--eps1", type=float, default=1e-4)
-    cluster.add_argument("--eps2", type=float, default=1e-4)
-    cluster.add_argument("--max-iters", type=int, default=500)
-    cluster.add_argument("--restarts", type=int, default=20)
-    cluster.add_argument("--kmeans-max-iters", type=int, default=300)
+    cluster.add_argument("--alpha", type=float, default=None)  # KernelSpec: 0.5 for ccp
+    # dests name AdmmConfig's fields; cmd_cluster passes them on by name
+    cluster.add_argument("--mu0", type=float, default=AdmmConfig.mu0)
+    cluster.add_argument("--rho0", type=float, default=AdmmConfig.rho0)
+    cluster.add_argument("--mu-max", type=float, default=AdmmConfig.mu_max)
+    cluster.add_argument("--eta", type=float, default=AdmmConfig.eta)
+    cluster.add_argument("--eps1", type=float, default=AdmmConfig.eps1)
+    cluster.add_argument("--eps2", type=float, default=AdmmConfig.eps2)
+    cluster.add_argument("--max-iters", type=int, default=AdmmConfig.max_iters)
+    cluster.add_argument("--restarts", type=int, default=NcutConfig.restarts)
+    cluster.add_argument("--kmeans-max-iters", type=int, default=NcutConfig.max_iters)
     cluster.set_defaults(func=cmd_cluster)
 
     ev = sub.add_parser("eval", help="score predicted labels against ground truth")
@@ -110,38 +89,42 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--truth", required=True)
     ev.set_defaults(func=cmd_eval)
 
-    return parser
+    return parser, cluster
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
-    """Merge --config key=value entries; explicit flags win."""
-    if not args.config:
-        return
-    if not os.path.exists(args.config):
-        raise InvalidInputError(f"config file not found: {args.config}")
-    explicit = set()
-    for token in argv:
-        if token.startswith("--"):
-            explicit.add(token[2:].split("=", 1)[0])
-    for line_no, line in enumerate(read_lines(args.config), start=1):
+def _config_defaults(path: str, cluster: argparse.ArgumentParser) -> dict:
+    """Read --config's key=value lines into defaults keyed by dest.
+
+    A key is a flag name without ``--``, and its value is converted the way
+    that flag converts it; a store_true flag takes 1/true/yes as true.
+    """
+    if not os.path.exists(path):
+        raise InvalidInputError(f"config file not found: {path}")
+    flags = {
+        action.option_strings[0][2:]: action
+        for action in cluster._actions
+        if action.dest not in ("help", "config")
+    }
+    defaults = {}
+    for line_no, line in enumerate(read_lines(path), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         key, sep, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if not sep or key not in _CONFIG_CONVERTERS:
-            raise InvalidInputError(
-                f"{args.config}: line {line_no}: unknown config entry {stripped!r}"
-            )
-        if key in explicit:
+        action = flags.get(key)
+        if not sep or action is None:
+            raise InvalidInputError(f"{path}: line {line_no}: unknown config entry {stripped!r}")
+        if action.nargs == 0:
+            defaults[action.dest] = value.lower() in ("1", "true", "yes")
             continue
         try:
-            converted = _CONFIG_CONVERTERS[key](value)
+            defaults[action.dest] = (action.type or str)(value)
         except ValueError:
             raise InvalidInputError(
-                f"{args.config}: line {line_no}: bad value for {key}: {value!r}"
+                f"{path}: line {line_no}: bad value for {key}: {value!r}"
             ) from None
-        setattr(args, "lam" if key == "lambda" else key.replace("-", "_"), converted)
+    return defaults
 
 
 def cmd_synth(args) -> int:
@@ -222,21 +205,11 @@ def cmd_cluster(args) -> int:
     )
     kernel_spec = admm_cfg = None
     if args.method == "kglrr":
-        kernel_spec = KernelSpec(
-            kind=args.kernel, alpha=args.alpha if args.kernel == "ccp" else None
-        )
+        kernel_spec = KernelSpec(kind=args.kernel, alpha=args.alpha)
     elif args.method == "glrr-21":
         # cluster_sweep replaces lam with each swept value
-        admm_cfg = AdmmConfig(
-            lam=lambdas[0],
-            mu0=args.mu0,
-            rho0=args.rho0,
-            mu_max=args.mu_max,
-            eta=args.eta,
-            eps1=args.eps1,
-            eps2=args.eps2,
-            max_iters=args.max_iters,
-        )
+        settings = {f.name: getattr(args, f.name) for f in fields(AdmmConfig) if f.name != "lam"}
+        admm_cfg = AdmmConfig(lam=lambdas[0], **settings)
 
     print("method lambda iterations converged accuracy")
     sweep = cluster_sweep(points, args.method, ncut_cfg, lambdas, kernel_spec, admm_cfg)
@@ -288,11 +261,13 @@ def cmd_eval(args) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, cluster = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "cluster":
-            _apply_config_file(args, argv)
+        if args.command == "cluster" and args.config:
+            # the file's entries become defaults, so a flag given in argv wins the reparse
+            cluster.set_defaults(**_config_defaults(args.config, cluster))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (NumericalDivergenceError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,6 +39,8 @@ class NcutConfig:
             raise InvalidConfigError(f"need at least 2 clusters, got {self.n_clusters}")
         if self.restarts < 1:
             raise InvalidConfigError("restarts must be >= 1")
+        if self.max_iters < 1:
+            raise InvalidConfigError("k-means max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,10 @@ def kmeans(
     n = rows.shape[0]
     if n_clusters > n:
         raise InvalidConfigError(f"cannot split {n} points into {n_clusters} clusters")
+    if restarts < 1:
+        raise InvalidConfigError("restarts must be >= 1")
+    if max_iters < 1:  # zero Lloyd steps would leave every point in cluster 0
+        raise InvalidConfigError("k-means max_iters must be >= 1")
     order = np.lexsort(rows.T[::-1])
     canon = rows[order]
 

@@ -340,6 +340,68 @@ class TestClusterCommand:
         assert code == 2
 
 
+class TestConfigPrecedence:
+    """A --config entry is a default: it applies unless the flag is in argv."""
+
+    def cluster(self, data, out, *extra):
+        return main(["cluster", "--data", str(data), "--clusters", "4", "--out", str(out),
+                     *extra])
+
+    def test_equals_form_flag_beats_file(self, tmp_path, capsys):
+        data = run_synth(tmp_path, seed=43)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lambda=0.1\n")
+        assert self.cluster(data, tmp_path / "o", "--config", str(cfg), "--method", "glrr-f",
+                            "--lambda=1.0") == 0
+        assert load_report(tmp_path / "o" / "report.txt")["lambda"] == repr(1.0)
+
+    def test_file_max_iters_applies_without_flag(self, tmp_path):
+        data = run_synth(tmp_path, seed=43)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max-iters=7\n")
+        assert self.cluster(data, tmp_path / "o", "--config", str(cfg), "--method", "glrr-21",
+                            "--lambda", "1") == 0
+        assert load_report(tmp_path / "o" / "report.txt")["iterations"] == "7"
+
+    @pytest.mark.parametrize("entry, flags, extra", [
+        ("standardize=true", ["--standardize"], ["--method", "glrr-f"]),
+        ("alpha=0.3", ["--alpha", "0.3"], ["--method", "kglrr", "--kernel", "ccp"]),
+    ])
+    def test_file_entry_equals_flag(self, tmp_path, capsys, entry, flags, extra):
+        data = run_synth(tmp_path, seed=43)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(entry + "\n")
+        common = ["--lambda", "0.1", *extra]
+        assert self.cluster(data, tmp_path / "file", "--config", str(cfg), *common) == 0
+        assert self.cluster(data, tmp_path / "flag", *flags, *common) == 0
+        assert self.cluster(data, tmp_path / "plain", *common) == 0
+        z_file = (tmp_path / "file" / "Z.mat").read_bytes()
+        assert z_file == (tmp_path / "flag" / "Z.mat").read_bytes()
+        assert z_file != (tmp_path / "plain" / "Z.mat").read_bytes()
+
+    @pytest.mark.parametrize("entry", ["help=1", "config=x"])
+    def test_non_setting_keys_are_unknown(self, tmp_path, capsys, entry):
+        data = run_synth(tmp_path, seed=43)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(entry + "\n")
+        capsys.readouterr()
+        assert self.cluster(data, tmp_path / "o", "--config", str(cfg), "--method", "glrr-f",
+                            "--lambda", "1") == 2
+        assert "line 1: unknown config entry" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_entry_fails_even_when_flag_given(self, tmp_path, capsys):
+        # every entry is converted, so whether a file is valid does not depend on argv
+        data = run_synth(tmp_path, seed=43)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=x\n")
+        capsys.readouterr()
+        assert self.cluster(data, tmp_path / "o", "--config", str(cfg), "--seed", "3",
+                            "--method", "glrr-f", "--lambda", "1") == 2
+        assert "line 1: bad value for seed: 'x'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestSweepBuildsOnce:
     """A λ sweep builds its Gram matrix, and any eigendecomposition of it, once."""
 
@@ -437,6 +499,7 @@ MALFORMED_INPUTS = {
     "config-bad-float": ("config", b"seed=1\nalpha=half\n", "line 2: bad value for alpha"),
     "config-nan-int": ("config", b"restarts=nan\n", "line 1: bad value for restarts"),
     "config-inf-int": ("config", b"p=inf\n", "line 1: bad value for p"),
+    "manifest-comment-only": ("manifest", b"# no points\n", "lists no data"),
 }
 
 
@@ -545,3 +608,33 @@ def test_out_of_memory_is_exit_2(method, small_dataset, tmp_path, monkeypatch, c
     assert code == 2
     assert err.startswith("error: out of memory: Unable to allocate 11.9 GiB"), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--lambda", ","], "no lambda values given"),
+    (["--lambda", "1,x"], "bad lambda value 'x'"),
+    (["--lambda", "1", "--kmeans-max-iters", "0"], "max_iters must be >= 1"),
+    (["--lambda", "1", "--kmeans-max-iters", "-3"], "max_iters must be >= 1"),
+    (["--lambda", "1", "--config", "{tmp}/missing.cfg"], "config file not found"),
+], ids=["lambda-empty-list", "lambda-non-numeric", "kmeans-max-iters-0",
+        "kmeans-max-iters-negative", "config-missing"])
+def test_cluster_setting_is_exit_2(argv, expected, small_dataset, tmp_path, capsys):
+    capsys.readouterr()
+    code = main(["cluster", "--data", str(small_dataset), "--method", "glrr-f",
+                 "--clusters", "2", "--out", str(tmp_path / "o")]
+                + [arg.format(tmp=tmp_path) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:"), err
+    assert "Traceback" not in err
+    assert expected in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_eval_empty_label_files_is_exit_2(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    capsys.readouterr()
+    assert main(["eval", "--pred", str(empty), "--truth", str(empty)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: label files are empty"), err

@@ -127,6 +127,18 @@ class TestKmeans:
         with pytest.raises(InvalidConfigError):
             kmeans(np.zeros((3, 2)), 4)
 
+    @pytest.mark.parametrize("settings", [
+        {"n_clusters": 1}, {"restarts": 0}, {"max_iters": 0}, {"max_iters": -1},
+    ])
+    def test_rejects_bad_settings(self, settings):
+        # zero Lloyd steps used to put every point in cluster 0
+        args = {"n_clusters": 2, **settings}
+        with pytest.raises(InvalidConfigError):
+            NcutConfig(**args)
+        if args["n_clusters"] >= 2:
+            with pytest.raises(InvalidConfigError):
+                kmeans(np.eye(4), **args)
+
 
 class TestNcut:
     def test_exact_two_blocks(self):

@@ -17,14 +17,19 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.optimize import linear_sum_assignment
 
 from grasslrr import (
+    AdmmConfig,
     ClusterLabels,
     GrassmannPoint,
     InvalidInputError,
+    NcutConfig,
+    SynthSpec,
     accuracy,
     build_delta,
+    cluster_pipeline,
     hungarian,
     orthonormalize,
     read_matrix,
+    synth_union,
     write_matrix,
 )
 from grasslrr import dataio
@@ -290,3 +295,39 @@ def test_accuracy_matches_scipy_matching(pair):
     rows, cols = linear_sum_assignment(contingency, maximize=True)
     n = pred.labels.shape[0]
     assert accuracy(pred, truth).accuracy == contingency[rows, cols].sum() / n
+
+
+@st.composite
+def permuted_unions(draw):
+    """(points, n_clusters, noise_sigma, seed, perm): a small synthetic union of
+    subspaces and a permutation of its points."""
+    C = draw(st.integers(2, 3))
+    m = draw(st.integers(3, 18 // C))
+    d = draw(st.integers(6, 12))
+    p = draw(st.integers(1, 3))
+    sigma = draw(st.sampled_from([0.0, 1e-3, 0.05, 0.3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    points, _ = synth_union(SynthSpec(C, m, d, p, noise_sigma=sigma, seed=seed))
+    return points, C, sigma, seed, np.array(draw(st.permutations(range(C * m))))
+
+
+@pytest.mark.parametrize("method, kwargs", [
+    ("glrr-f", {"lam": 0.5}),
+    ("kglrr", {"lam": 0.5, "kernel_spec": KernelSpec(kind="cc-sum")}),
+    ("glrr-21", {"admm_cfg": AdmmConfig(lam=1.0, max_iters=60)}),
+])
+@settings(PROPERTY, max_examples=24)
+@given(permuted_unions())
+def test_pipeline_is_permutation_equivariant(method, kwargs, case):
+    points, n_clusters, sigma, seed, perm = case
+    cfg = NcutConfig(n_clusters=n_clusters, seed=seed)
+    labels = cluster_pipeline(points, method, cfg, **kwargs)[0].labels[perm]
+    permuted = cluster_pipeline([points[i] for i in perm], method, cfg, **kwargs)[0].labels
+    # the same partition: each label of one run pairs with exactly one of the other
+    pairs = set(zip(labels.tolist(), permuted.tolist()))
+    assert len(pairs) == len(set(labels.tolist())) == len(set(permuted.tolist())) == n_clusters
+    if sigma > 0.0 or n_clusters > 2:
+        # two noise-free clusters of equal size have one cross-cluster Gram value, so
+        # swapping them leaves the affinity as it was: no labelling can follow that
+        # permutation, and only there may the label names differ
+        assert np.array_equal(permuted, labels)
