@@ -28,6 +28,7 @@ from .dataio import (
     save_results,
     synth_union,
     write_labels,
+    write_manifest,
     write_matrix,
 )
 from .errors import GrassLrrError, InvalidInputError, NumericalDivergenceError
@@ -98,17 +99,14 @@ def _config_defaults(path: str, cluster: argparse.ArgumentParser) -> dict:
     A key is a flag name without ``--``, and its value is converted the way
     that flag converts it; a store_true flag takes 1/true/yes as true.
     """
-    if not os.path.exists(path):
-        raise InvalidInputError(f"config file not found: {path}")
     flags = {
         action.option_strings[0][2:]: action
         for action in cluster._actions
         if action.dest not in ("help", "config")
     }
     defaults = {}
-    for line_no, line in enumerate(read_lines(path), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+    for line_no, stripped in read_lines(path, "config file"):
+        if stripped.startswith("#"):
             continue
         key, sep, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
@@ -140,13 +138,10 @@ def cmd_synth(args) -> int:
     points, labels = synth_union(spec)
     points_dir = os.path.join(args.out, "points")
     os.makedirs(points_dir, exist_ok=True)
-    manifest_lines = []
-    for i, point in enumerate(points):
-        rel = os.path.join("points", f"point_{i:03d}.mat")
+    rels = [os.path.join("points", f"point_{i:03d}.mat") for i in range(len(points))]
+    for rel, point in zip(rels, points):
         write_matrix(os.path.join(args.out, rel), point.basis)
-        manifest_lines.append(f"{rel}\t{int(labels[i])}")
-    with open(os.path.join(args.out, "manifest.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(manifest_lines) + "\n")
+    write_manifest(os.path.join(args.out, "manifest.txt"), zip(rels, labels))
     write_labels(os.path.join(args.out, "truth.txt"), labels)
     print(f"wrote {len(points)} points ({spec.n_clusters} clusters) to {args.out}")
     return 0
@@ -207,11 +202,12 @@ def cmd_cluster(args) -> int:
     if args.method == "kglrr":
         kernel_spec = KernelSpec(kind=args.kernel, alpha=args.alpha)
     elif args.method == "glrr-21":
+        if args.max_iters < 1:  # AdmmConfig takes 0 (the all-zero start), but that is no solve
+            raise InvalidInputError(f"max-iters must be at least 1, got {args.max_iters}")
         # cluster_sweep replaces lam with each swept value
         settings = {f.name: getattr(args, f.name) for f in fields(AdmmConfig) if f.name != "lam"}
         admm_cfg = AdmmConfig(lam=lambdas[0], **settings)
 
-    print("method lambda iterations converged accuracy")
     sweep = cluster_sweep(points, args.method, ncut_cfg, lambdas, kernel_spec, admm_cfg)
     for lam, (labels, coeffs, diag) in zip(lambdas, sweep):
         acc_text = "-"
@@ -235,6 +231,8 @@ def cmd_cluster(args) -> int:
             iter_text, conv_text = str(diag["iterations"]), report["converged"]
         else:
             iter_text, conv_text = "-", "-"
+        if lam == lambdas[0]:  # with the first row, so a setup error leaves stdout empty
+            print("method lambda iterations converged accuracy")
         print(f"{args.method} {lam:g} {iter_text} {conv_text} {acc_text}")
     return 0
 

@@ -166,8 +166,6 @@ def ncut(W, cfg: NcutConfig) -> ClusterLabels:
     n = W.shape[0]
     if W.shape[0] != W.shape[1]:
         raise InvalidInputError(f"affinity must be square, got {W.shape}")
-    if cfg.n_clusters > n:
-        raise InvalidConfigError(f"cannot split {n} points into {cfg.n_clusters} clusters")
 
     degree = W.sum(axis=1)
     inv_sqrt = np.where(degree > 0.0, 1.0 / np.sqrt(np.where(degree > 0.0, degree, 1.0)), 0.0)
@@ -207,6 +205,9 @@ def cluster_sweep(
         kernel_spec = KernelSpec(kind="projection")
     elif method == "kglrr" and kernel_spec is None:
         raise InvalidConfigError("kglrr requires a kernel spec")
+    n, k = len(points), ncut_cfg.n_clusters
+    if k > n:  # before the Gram matrix and any solve
+        raise InvalidConfigError(f"cannot split {n} points into {k} clusters")
 
     G = build_delta(points) if method == "glrr-21" else gram(points, kernel_spec)
     for lam in lambdas:

@@ -6,8 +6,9 @@ write/read round trip is bit-exact, while plain decimals in ``float()``
 syntax are accepted on read.  Both directions work on blocks of rows: the
 writer formats them from the float64 bit fields, and the reader converts a
 decimal block with one numpy call, keeping the per-token parser for hex
-tokens and for the positioned error messages.  Manifests are UTF-8 text
-with one "<relative-path><TAB><label>" entry per line and ``#`` comments.
+tokens and for the positioned error messages.  Manifests hold one
+"<relative-path><TAB><label>" entry per line and ``#`` comments; like every
+text input they are read through ``read_lines``.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ class SynthSpec:
             raise InvalidInputError(f"p={self.p} must lie in [1, d={self.d}]")
         if self.noise_sigma < 0.0:
             raise InvalidInputError("noise_sigma must be nonnegative")
+        if not math.isfinite(self.noise_sigma):
+            raise InvalidInputError(f"noise_sigma must be finite, got {self.noise_sigma}")
         if not (0.0 <= self.min_separation <= 90.0):
             raise InvalidInputError("min_separation must be in [0, 90] degrees")
         if self.min_separation == 90.0 and self.n_clusters * self.p > self.d:
@@ -135,14 +138,17 @@ def write_matrix(path, M) -> None:
             fh.write(_hex_block(M[start : start + step]))
 
 
-def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, newlines removed; undecodable bytes are an input error."""
+def read_lines(path, what: str) -> list[tuple[int, str]]:
+    """(physical line number, stripped text) of each non-blank line of a UTF-8 text file."""
+    if not os.path.exists(path):
+        raise InvalidInputError(f"{what} not found: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read().split("\n")
+            text = fh.read()
     except UnicodeDecodeError as exc:
         line_no = exc.object.count(b"\n", 0, exc.start) + 1
         raise InvalidInputError(f"{path}: line {line_no} is not valid UTF-8") from None
+    return [(no, ln) for no, ln in enumerate(map(str.strip, text.split("\n")), start=1) if ln]
 
 
 def _parse_value(token: str, path, line_no: int, col_no: int) -> float:
@@ -196,10 +202,7 @@ def _parse_decimal(texts, cols):
 
 
 def read_matrix(path) -> np.ndarray:
-    if not os.path.exists(path):
-        raise InvalidInputError(f"matrix file not found: {path}")
-    # (physical line number, stripped text) of every non-blank line
-    lines = [(no, ln) for no, ln in enumerate(map(str.strip, read_lines(path)), start=1) if ln]
+    lines = read_lines(path, "matrix file")
     if not lines:
         raise InvalidInputError(f"{path}: empty matrix file")
     header_text = lines[0][1]
@@ -223,14 +226,17 @@ def read_matrix(path) -> np.ndarray:
     return _parse_rows(path, cols, body)
 
 
+def write_manifest(path, entries) -> None:
+    """One "<relative-path><TAB><label>" line per ``(rel, label)`` entry."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(f"{rel}\t{int(label)}" for rel, label in entries) + "\n")
+
+
 def load_manifest(path) -> Manifest:
-    if not os.path.exists(path):
-        raise InvalidInputError(f"manifest not found: {path}")
     entries = []
     seen = set()
-    for line_no, line in enumerate(read_lines(path), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+    for line_no, stripped in read_lines(path, "manifest"):
+        if stripped.startswith("#"):
             continue
         parts = stripped.split("\t")
         if len(parts) != 2:
@@ -346,13 +352,8 @@ def write_labels(path, labels) -> None:
 
 
 def read_labels(path) -> np.ndarray:
-    if not os.path.exists(path):
-        raise InvalidInputError(f"labels file not found: {path}")
     values = []
-    for line_no, line in enumerate(read_lines(path), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
+    for line_no, stripped in read_lines(path, "labels file"):
         try:
             values.append(int(stripped))
         except ValueError:
@@ -378,11 +379,7 @@ def save_results(out_dir, Z, labels, report: dict) -> dict:
 
 def load_report(path) -> dict:
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            key, _, value = stripped.partition("=")
-            out[key] = value
+    for _, stripped in read_lines(path, "report file"):
+        key, _, value = stripped.partition("=")
+        out[key] = value
     return out

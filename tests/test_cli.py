@@ -616,8 +616,13 @@ def test_out_of_memory_is_exit_2(method, small_dataset, tmp_path, monkeypatch, c
     (["--lambda", "1", "--kmeans-max-iters", "0"], "max_iters must be >= 1"),
     (["--lambda", "1", "--kmeans-max-iters", "-3"], "max_iters must be >= 1"),
     (["--lambda", "1", "--config", "{tmp}/missing.cfg"], "config file not found"),
+    (["--lambda", "1", "--clusters", "40"], "cannot split 6 points into 40 clusters"),
+    (["--lambda", "1", "--method", "glrr-21", "--max-iters", "0"], "max-iters must be at least 1"),
+    (["--lambda", "1", "--data", "{tmp}"], "manifest not found"),
+    (["--lambda", "1", "--truth", "{tmp}/missing.txt"], "labels file not found"),
 ], ids=["lambda-empty-list", "lambda-non-numeric", "kmeans-max-iters-0",
-        "kmeans-max-iters-negative", "config-missing"])
+        "kmeans-max-iters-negative", "config-missing", "clusters-above-n",
+        "glrr-21-max-iters-0", "data-dir-without-manifest", "truth-missing"])
 def test_cluster_setting_is_exit_2(argv, expected, small_dataset, tmp_path, capsys):
     capsys.readouterr()
     code = main(["cluster", "--data", str(small_dataset), "--method", "glrr-f",
@@ -629,6 +634,40 @@ def test_cluster_setting_is_exit_2(argv, expected, small_dataset, tmp_path, caps
     assert "Traceback" not in err
     assert expected in err
     assert not (tmp_path / "o").exists()
+
+
+def test_cluster_count_above_n_fails_before_any_solve(small_dataset, tmp_path, monkeypatch,
+                                                     capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("admm_solve ran although --clusters exceeds N")
+
+    monkeypatch.setattr("grasslrr.clustering.admm_solve", no_solve)
+    capsys.readouterr()
+    code = main(["cluster", "--data", str(small_dataset), "--method", "glrr-21",
+                 "--lambda", "1,2", "--clusters", "7", "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot split 6 points into 7 clusters\n"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["cluster", "--data", "{data}", "--method", "glrr-f", "--lambda", "1",
+      "--clusters", "2", "--out", "{tmp}/o"],
+     "dataset file not found: {data}/points/point_001.mat"),
+    (["eval", "--pred", "{tmp}/pred.txt", "--truth", "{data}/truth.txt"],
+     "labels file not found: {tmp}/pred.txt"),
+], ids=["dataset-file", "eval-pred"])
+def test_missing_input_file_is_exit_2(argv, expected, small_dataset, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(small_dataset, data)
+    os.remove(data / "points" / "point_001.mat")
+    capsys.readouterr()
+    code = main([arg.format(tmp=tmp_path, data=data) for arg in argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {expected.format(tmp=tmp_path, data=data)}\n"
 
 
 def test_eval_empty_label_files_is_exit_2(tmp_path, capsys):

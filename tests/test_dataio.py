@@ -297,6 +297,11 @@ class TestSynthUnion:
         with pytest.raises(InvalidInputError):
             SynthSpec(n_clusters=3, per_cluster=2, d=4, p=2, min_separation=90.0, seed=0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_noise_rejected(self, sigma):
+        with pytest.raises(InvalidInputError, match="noise_sigma must be finite"):
+            SynthSpec(n_clusters=2, per_cluster=2, d=4, p=2, noise_sigma=sigma)
+
 
 class TestResults:
     def test_round_trip(self, tmp_path):
@@ -331,6 +336,12 @@ class TestResults:
         path.write_text("0\n1\nx\n")
         with pytest.raises(InvalidInputError):
             read_labels(path)
+
+    def test_report_non_utf8_names_line(self, tmp_path):
+        path = tmp_path / "report.txt"
+        path.write_bytes(b"method=glrr-f\nlambda=\xff\n")
+        with pytest.raises(InvalidInputError, match="report.txt: line 2 is not valid UTF-8"):
+            load_report(path)
 
 
 class TestRng:
