@@ -3,22 +3,17 @@
 from .admm import (
     AdmmConfig,
     AdmmReport,
-    AdmmState,
     admm_solve,
     dense_reference,
-    e_step,
     mu_update,
     rho_rule,
     svt,
-    z_step,
 )
 from .closed_form import (
     ClosedFormReport,
-    DeltaMatrix,
     LowRankCoefficients,
     build_delta,
     glrr_f_solve,
-    kglrr_solve,
 )
 from .clustering import (
     ClusterLabels,
@@ -52,28 +47,21 @@ from .errors import (
     OracleTooLargeError,
     RankDeficientError,
 )
-from .evaluation import EvalReport, accuracy, hungarian
+from .evaluation import accuracy, hungarian
 from .kernels import (
     KernelMatrix,
     KernelSpec,
-    PrincipalAngles,
     gram,
-    k_cc,
-    k_ccp,
     k_projection,
     kernel_sqrt,
     principal_angle_cosines,
-    psd_clamp,
 )
 from .manifold import (
     GrassmannPoint,
     SymEig,
-    ThinSvd,
-    grassmann_distance,
     orthonormalize,
     project_embed,
     sym_eig,
-    thin_svd,
 )
 from .rng import SplitMix64
 

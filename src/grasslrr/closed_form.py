@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError
-from .kernels import KernelMatrix, KernelSpec, assemble_gram, gram
+from .kernels import KernelMatrix, KernelSpec, assemble_gram
 from .manifold import GrassmannPoint, sym_eig
 
 EIG_ZERO_RTOL = 1e-12
@@ -106,15 +106,3 @@ def glrr_f_solve(G, lam: float) -> tuple[LowRankCoefficients, ClosedFormReport]:
     )
     Z.setflags(write=False)
     return LowRankCoefficients(Z=Z), report
-
-
-def kglrr_solve(
-    points: list[GrassmannPoint], spec: KernelSpec, lam: float
-) -> tuple[LowRankCoefficients, ClosedFormReport]:
-    """Kernelized solve: Gram assembly, PSD repair, then spectral shrinkage.
-
-    One eigendecomposition serves both the repair and the shrinkage.  With the
-    projection kernel this is glrr-f: the Gram matrix is ``build_delta``'s.
-    """
-    K = gram(points, spec)
-    return glrr_f_solve(K, lam)

@@ -61,13 +61,13 @@ class ClusterLabels:
 
 
 def affinity_from_Z(Z) -> np.ndarray:
-    """Symmetric nonnegative affinity (|Z| + |Z^T|)/2, assembled from one triangle."""
+    """Symmetric nonnegative affinity (|Z| + |Z^T|)/2."""
     M = Z.Z if isinstance(Z, LowRankCoefficients) else as_matrix(Z, "Z")
     if M.shape[0] != M.shape[1]:
         raise InvalidInputError(f"Z must be square, got {M.shape}")
-    # the upper triangle holds (|Z_ij| + |Z_ji|)/2; mirroring it keeps W exactly symmetric
-    upper = (np.triu(np.abs(M), 0) + np.triu(np.abs(M.T), 0)) / 2.0
-    return upper + np.triu(upper, 1).T
+    # IEEE addition commutes, so W_ij and W_ji are the same sum: W is exactly symmetric
+    A = np.abs(M)
+    return (A + A.T) / 2.0
 
 
 def _kmeanspp_init(rows: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
@@ -106,11 +106,12 @@ def _lloyd(rows: np.ndarray, centers: np.ndarray, max_iters: int) -> tuple[np.nd
                 centers[j] = rows[far]
                 labels[far] = j
                 point_d[far] = -1.0
-        new_centers = centers.copy()
-        for j in range(k):
-            members = rows[labels == j]
-            if members.shape[0]:
-                new_centers[j] = members.mean(axis=0)
+        # np.add.at sums each cluster's rows in row order, as members.mean(axis=0)
+        # does for rows of two or more columns; a cluster left empty keeps its center
+        sums = np.zeros_like(centers)
+        np.add.at(sums, labels, rows)
+        counts = np.bincount(labels, minlength=k)[:, None]
+        new_centers = np.where(counts > 0, sums / np.maximum(counts, 1), centers)
         if np.array_equal(new_centers, centers):
             break
         centers = new_centers

@@ -139,14 +139,16 @@ def write_matrix(path, M) -> None:
 
 
 def read_lines(path, what: str) -> list[tuple[int, str]]:
-    """(physical line number, stripped text) of each non-blank line of a UTF-8 text file."""
+    """(line number, stripped text) of each non-blank line of a UTF-8 text file, BOM dropped."""
     if not os.path.exists(path):
         raise InvalidInputError(f"{what} not found: {path}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
-        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        # exc.object has the BOM stripped; \r\n, lone \r and lone \n each end one line
+        head = exc.object[: exc.start]
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise InvalidInputError(f"{path}: line {line_no} is not valid UTF-8") from None
     return [(no, ln) for no, ln in enumerate(map(str.strip, text.split("\n")), start=1) if ln]
 
@@ -300,7 +302,7 @@ def _min_pairwise_angle_deg(centers: list[GrassmannPoint]) -> float:
     worst = 90.0
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
-            top = float(principal_angle_cosines(centers[i], centers[j]).cosines[0])
+            top = float(principal_angle_cosines(centers[i], centers[j])[0])
             worst = min(worst, math.degrees(math.acos(min(max(top, 0.0), 1.0))))
     return worst
 

@@ -43,30 +43,22 @@ class KernelSpec:
 
 
 @dataclass(frozen=True)
-class PrincipalAngles:
-    """Cosines of the principal angles, descending, clamped to [0, 1]."""
-
-    cosines: np.ndarray
-
-
-@dataclass(frozen=True)
 class KernelMatrix:
     """N x N Gram matrix, its eigendecomposition, and a record of any PSD repair applied."""
 
     values: np.ndarray
     spec: KernelSpec
     eig: SymEig
-    clamped: bool = False
     clamp_magnitude: float = 0.0
 
 
-def principal_angle_cosines(X1: GrassmannPoint, X2: GrassmannPoint) -> PrincipalAngles:
-    """Singular values of X1^T X2: cos of the principal angles, descending."""
+def principal_angle_cosines(X1: GrassmannPoint, X2: GrassmannPoint) -> np.ndarray:
+    """Singular values of X1^T X2 clipped to [0, 1]: read-only principal-angle cosines."""
     check_same_shape(X1, X2)
     s = np.linalg.svd(X1.basis.T @ X2.basis, compute_uv=False)
     out = np.clip(s, 0.0, 1.0)
     out.setflags(write=False)
-    return PrincipalAngles(cosines=out)
+    return out
 
 
 def k_projection(X1: GrassmannPoint, X2: GrassmannPoint) -> float:
@@ -80,7 +72,7 @@ def k_cc(X1: GrassmannPoint, X2: GrassmannPoint, variant: str = "sum") -> float:
     """Canonical-correlation kernel: largest cosine or sum of cosines."""
     if variant not in ("max", "sum"):
         raise InvalidConfigError(f"cc variant must be 'max' or 'sum', got {variant!r}")
-    cos = principal_angle_cosines(X1, X2).cosines
+    cos = principal_angle_cosines(X1, X2)
     return float(cos[0]) if variant == "max" else float(np.sum(cos))
 
 
@@ -92,12 +84,16 @@ def k_ccp(X1: GrassmannPoint, X2: GrassmannPoint, alpha: float) -> float:
     return alpha * k_cc(X1, X2, "sum") + (1.0 - alpha) * k_projection(X1, X2)
 
 
-def _psd_truncate(K: np.ndarray) -> tuple[np.ndarray, SymEig, float]:
-    """Clamp negative eigenvalues to zero.
+def psd_clamp(K) -> tuple[np.ndarray, SymEig, float]:
+    """Truncate negative eigenvalues to zero; the Frobenius-nearest PSD matrix.
 
-    Returns the matrix, its (post-repair) eigendecomposition and the repair
-    magnitude, so a caller needs no second eigendecomposition.
+    Returns the (possibly unchanged) matrix, its post-repair
+    eigendecomposition, so a caller needs no second one, and the magnitude of
+    the most negative pre-clamp eigenvalue (0.0 when no repair was needed).
+    Inputs whose smallest eigenvalue is within -1e-8 of the largest are
+    returned untouched.
     """
+    K = as_matrix(K, "K")
     eig = sym_eig(K)
     w = eig.eigenvalues
     if w[-1] >= -PSD_RTOL * max(w[0], 0.0):
@@ -107,18 +103,6 @@ def _psd_truncate(K: np.ndarray) -> tuple[np.ndarray, SymEig, float]:
     V = eig.eigenvectors
     repaired = (V * kept) @ V.T
     return (repaired + repaired.T) / 2.0, SymEig(eigenvalues=kept, eigenvectors=V), float(-w[-1])
-
-
-def psd_clamp(K) -> tuple[np.ndarray, float]:
-    """Truncate negative eigenvalues to zero; the Frobenius-nearest PSD matrix.
-
-    Returns the (possibly unchanged) matrix and the magnitude of the most
-    negative pre-clamp eigenvalue (0.0 when no repair was needed).  Inputs
-    whose smallest eigenvalue is within -1e-8 of the largest are returned
-    untouched.
-    """
-    values, _eig, magnitude = _psd_truncate(as_matrix(K, "K"))
-    return values, magnitude
 
 
 def _kernel_row(cross: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -156,11 +140,9 @@ def assemble_gram(points: list[GrassmannPoint], spec: KernelSpec) -> np.ndarray:
 
 def gram(points: list[GrassmannPoint], spec: KernelSpec) -> KernelMatrix:
     """Kernel Gram matrix over a point set, symmetric by construction, repaired to PSD."""
-    values, eig, magnitude = _psd_truncate(assemble_gram(points, spec))
+    values, eig, magnitude = psd_clamp(assemble_gram(points, spec))
     values.setflags(write=False)
-    return KernelMatrix(
-        values=values, spec=spec, eig=eig, clamped=magnitude > 0.0, clamp_magnitude=magnitude
-    )
+    return KernelMatrix(values=values, spec=spec, eig=eig, clamp_magnitude=magnitude)
 
 
 def kernel_sqrt(K) -> np.ndarray:

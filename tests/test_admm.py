@@ -11,15 +11,13 @@ from grasslrr import (
     admm_solve,
     build_delta,
     dense_reference,
-    e_step,
     mu_update,
     orthonormalize,
     project_embed,
     rho_rule,
     svt,
-    z_step,
 )
-from grasslrr.admm import ETA_MARGIN, initial_state
+from grasslrr.admm import ETA_MARGIN, e_step, initial_state, z_step
 from grasslrr.clustering import NcutConfig, affinity_from_Z, cluster_pipeline
 
 

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import os
 import shutil
 import subprocess
@@ -489,10 +490,12 @@ MALFORMED_INPUTS = {
     "truth-nan": ("truth", b"nan\n", "line 1"),
     "truth-short": ("truth", b"0\n1\n", "2 labels"),
     "pred-non-utf8": ("pred", b"\xff\n", "line 1"),
+    "pred-bom-then-non-utf8": ("pred", b"\xef\xbb\xbf\xff\n", "line 1"),
     "pred-non-numeric": ("pred", b"0\n0.5\n", "line 2"),
     "pred-inf": ("pred", b"0\ninf\n", "line 2"),
     "pred-short": ("pred", b"0\n", "length"),
     "config-non-utf8": ("config", b"seed=1\nrestarts=\xff\n", "line 2"),
+    "config-non-utf8-cr-only": ("config", b"seed=1\rrestarts=\xff\r", "line 2"),
     "config-unknown-key": ("config", b"wibble=1\n", "line 1"),
     "config-missing-equals": ("config", b"seed\n", "line 1"),
     "config-bad-int": ("config", b"seed=x\n", "line 1: bad value for seed"),
@@ -564,6 +567,32 @@ def test_cluster_run_loads_no_scipy(method, extra, tmp_path):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 0 []"
+
+
+PUBLIC_NAMES = {
+    "AdmmConfig", "AdmmReport", "admm_solve", "dense_reference", "mu_update", "rho_rule", "svt",
+    "ClosedFormReport", "LowRankCoefficients", "build_delta", "glrr_f_solve",
+    "ClusterLabels", "NcutConfig", "affinity_from_Z", "cluster_pipeline", "cluster_sweep",
+    "kmeans", "ncut",
+    "ImageSet", "Manifest", "SynthSpec", "build_point", "load_dataset", "load_manifest",
+    "read_labels", "read_matrix", "save_results", "synth_union", "write_labels", "write_matrix",
+    "GrassLrrError", "InfeasibleSpecError", "InvalidConfigError", "InvalidInputError",
+    "NumericalDivergenceError", "OracleTooLargeError", "RankDeficientError",
+    "accuracy", "hungarian",
+    "KernelMatrix", "KernelSpec", "gram", "k_projection", "kernel_sqrt",
+    "principal_angle_cosines",
+    "GrassmannPoint", "SymEig", "orthonormalize", "project_embed", "sym_eig",
+    "SplitMix64",
+}
+
+
+def test_package_exports_exactly_the_public_names():
+    # step functions, pairwise oracles and their result types are imported
+    # from their modules (grasslrr.admm.e_step, grasslrr.kernels.k_cc, ...)
+    exported = {name for name, value in vars(grasslrr).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert len(PUBLIC_NAMES) == 51
+    assert exported == PUBLIC_NAMES
 
 
 @pytest.mark.parametrize("flag, value", [

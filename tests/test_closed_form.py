@@ -9,7 +9,6 @@ from grasslrr import (
     glrr_f_solve,
     gram,
     kernel_sqrt,
-    kglrr_solve,
     orthonormalize,
     project_embed,
 )
@@ -187,7 +186,7 @@ class TestKglrrSolve:
     def test_projection_path_equals_direct(self):
         rng = np.random.default_rng(11)
         points = [random_point(rng, 8, 2) for _ in range(6)]
-        Zk, _ = kglrr_solve(points, KernelSpec(kind="projection"), 0.7)
+        Zk, _ = glrr_f_solve(gram(points, KernelSpec(kind="projection")), 0.7)
         Zd, _ = glrr_f_solve(build_delta(points), 0.7)
         assert np.max(np.abs(Zk.Z - Zd.Z)) <= 1e-10
 
@@ -196,7 +195,7 @@ class TestKglrrSolve:
         X = random_point(rng, 7, 3)
         n, k_self = 5, 3.0
         lam = 0.5
-        Z, report = kglrr_solve([X] * n, KernelSpec(kind="projection"), lam)
+        Z, report = glrr_f_solve(gram([X] * n, KernelSpec(kind="projection")), lam)
         expected = (1.0 - lam / (n * k_self)) * np.full((n, n), 1.0 / n)
         np.testing.assert_allclose(Z.Z, expected, atol=1e-8)
         assert report.kept_count == 1
@@ -218,7 +217,7 @@ class TestKglrrSolve:
         points = [random_point(rng, 5, 2) for _ in range(9)]
         for kind in ("projection", "cc-sum"):
             calls.clear()
-            kglrr_solve(points, KernelSpec(kind=kind), 0.5)
+            glrr_f_solve(gram(points, KernelSpec(kind=kind)), 0.5)
             assert calls == [(9, 9)]
 
     def test_repaired_solve_matches_fresh_eigendecomposition(self):
@@ -227,7 +226,7 @@ class TestKglrrSolve:
         points = [random_point(rng, 5, 2) for _ in range(9)]
         for kind in ("cc-max", "cc-sum", "ccp"):
             K = gram(points, KernelSpec(kind=kind, alpha=0.5 if kind == "ccp" else None))
-            assert K.clamped
+            assert K.clamp_magnitude > 0.0
             Zk, rep_k = glrr_f_solve(K, 0.3)
             Zf, rep_f = glrr_f_solve(np.array(K.values), 0.3)
             assert np.max(np.abs(Zk.Z - Zf.Z)) <= 1e-10
@@ -237,7 +236,7 @@ class TestKglrrSolve:
     def test_ccp_solution_spectrum(self):
         rng = np.random.default_rng(13)
         points = [random_point(rng, 9, 3) for _ in range(6)]
-        Z, _ = kglrr_solve(points, KernelSpec(kind="ccp", alpha=0.5), 0.5)
+        Z, _ = glrr_f_solve(gram(points, KernelSpec(kind="ccp", alpha=0.5)), 0.5)
         eigs = np.linalg.eigvalsh((Z.Z + Z.Z.T) / 2.0)
         assert np.all(eigs >= -1e-10)
         assert np.all(eigs < 1.0)

@@ -11,7 +11,6 @@ from grasslrr import (
     SynthSpec,
     accuracy,
     build_point,
-    grassmann_distance,
     k_projection,
     load_dataset,
     load_manifest,
@@ -25,6 +24,7 @@ from grasslrr import (
 )
 from grasslrr.dataio import load_report
 from grasslrr.kernels import principal_angle_cosines
+from grasslrr.manifold import grassmann_distance
 from grasslrr.rng import SplitMix64, mix64
 
 
@@ -262,7 +262,7 @@ class TestSynthUnion:
         reps = [points[0], points[2], points[4]]
         for i in range(3):
             for j in range(i + 1, 3):
-                top = principal_angle_cosines(reps[i], reps[j]).cosines[0]
+                top = principal_angle_cosines(reps[i], reps[j])[0]
                 assert np.degrees(np.arccos(min(top, 1.0))) >= 45.0 - 1e-6
 
     def test_distance_statistics(self):
@@ -336,6 +336,11 @@ class TestResults:
         path.write_text("0\n1\nx\n")
         with pytest.raises(InvalidInputError):
             read_labels(path)
+
+    def test_labels_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_bytes(b"\xef\xbb\xbf0\r\n1\r\n")
+        assert read_labels(path).tolist() == [0, 1]
 
     def test_report_non_utf8_names_line(self, tmp_path):
         path = tmp_path / "report.txt"

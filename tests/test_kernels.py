@@ -7,15 +7,13 @@ from grasslrr import (
     InvalidInputError,
     KernelSpec,
     gram,
-    k_cc,
-    k_ccp,
     k_projection,
     kernel_sqrt,
     orthonormalize,
     principal_angle_cosines,
-    psd_clamp,
 )
 from grasslrr.closed_form import build_delta
+from grasslrr.kernels import k_cc, k_ccp, psd_clamp
 
 
 def random_point(rng, d, p):
@@ -26,26 +24,26 @@ class TestPrincipalAngles:
     def test_same_subspace(self):
         rng = np.random.default_rng(0)
         X = random_point(rng, 8, 3)
-        np.testing.assert_allclose(principal_angle_cosines(X, X).cosines, np.ones(3), atol=1e-10)
+        np.testing.assert_allclose(principal_angle_cosines(X, X), np.ones(3), atol=1e-10)
 
     def test_orthogonal_subspaces(self):
         X1 = GrassmannPoint(basis=np.eye(8)[:, :3])
         X2 = GrassmannPoint(basis=np.eye(8)[:, 3:6])
-        np.testing.assert_allclose(principal_angle_cosines(X1, X2).cosines, np.zeros(3), atol=1e-12)
+        np.testing.assert_allclose(principal_angle_cosines(X1, X2), np.zeros(3), atol=1e-12)
 
     def test_planar_rotation_angle(self):
         theta = np.pi / 6
         X1 = GrassmannPoint(basis=np.array([[1.0], [0.0]]))
         X2 = GrassmannPoint(basis=np.array([[np.cos(theta)], [np.sin(theta)]]))
         np.testing.assert_allclose(
-            principal_angle_cosines(X1, X2).cosines, [np.cos(theta)], atol=1e-12
+            principal_angle_cosines(X1, X2), [np.cos(theta)], atol=1e-12
         )
 
     def test_symmetric_sorted_clamped(self):
         rng = np.random.default_rng(1)
         X1, X2 = random_point(rng, 10, 4), random_point(rng, 10, 4)
-        a = principal_angle_cosines(X1, X2).cosines
-        b = principal_angle_cosines(X2, X1).cosines
+        a = principal_angle_cosines(X1, X2)
+        b = principal_angle_cosines(X2, X1)
         np.testing.assert_allclose(a, b, atol=1e-12)
         assert np.all(np.diff(a) <= 0.0)
         assert np.all((a >= 0.0) & (a <= 1.0))
@@ -70,7 +68,7 @@ class TestKernelValues:
     def test_projection_matches_angle_oracle(self):
         rng = np.random.default_rng(4)
         X1, X2 = random_point(rng, 10, 3), random_point(rng, 10, 3)
-        cos = principal_angle_cosines(X1, X2).cosines
+        cos = principal_angle_cosines(X1, X2)
         assert abs(k_projection(X1, X2) - np.sum(cos**2)) <= 1e-10
 
     def test_cc_self(self):
@@ -183,7 +181,7 @@ class TestGram:
             for kind, k in pairwise.items():
                 spec = KernelSpec(kind=kind, alpha=0.3 if kind == "ccp" else None)
                 raw = np.array([[k(a, b) for b in points] for a in points])
-                oracle, magnitude = psd_clamp(raw)
+                oracle, _, magnitude = psd_clamp(raw)
                 K = gram(points, spec)
                 assert np.max(np.abs(K.values - oracle)) <= 1e-12, (kind, n, d, p)
                 assert abs(K.clamp_magnitude - magnitude) <= 1e-12, (kind, n, d, p)
@@ -195,8 +193,8 @@ class TestGram:
         for kind in ("projection", "cc-max", "cc-sum", "ccp"):
             K = gram(points, KernelSpec(kind=kind, alpha=0.5 if kind == "ccp" else None))
             V, w = K.eig.eigenvectors, K.eig.eigenvalues
-            assert K.clamped == (kind != "projection")
-            if K.clamped:
+            assert (K.clamp_magnitude > 0.0) == (kind != "projection")
+            if K.clamp_magnitude > 0.0:
                 assert np.all(w >= 0.0)
             assert np.all(np.diff(w) <= 0.0)
             assert np.max(np.abs((V * w) @ V.T - K.values)) <= 1e-12
@@ -217,7 +215,7 @@ class TestGram:
             p = int(rng.integers(1, min(4, d) + 1))
             points = [random_point(rng, d, p) for _ in range(n)]
             K = gram(points, KernelSpec(kind="projection"))
-            assert not K.clamped
+            assert not (K.clamp_magnitude > 0.0)
             assert K.clamp_magnitude == 0.0
 
     def test_rejects_small_sets(self):
@@ -233,12 +231,12 @@ class TestPsdClamp:
         rng = np.random.default_rng(18)
         A = rng.standard_normal((5, 5))
         K = A @ A.T
-        out, magnitude = psd_clamp(K)
+        out, _, magnitude = psd_clamp(K)
         assert magnitude == 0.0
         assert out is K
 
     def test_diagonal_truncation(self):
-        out, magnitude = psd_clamp(np.diag([1.0, -0.5]))
+        out, _, magnitude = psd_clamp(np.diag([1.0, -0.5]))
         np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
         assert abs(magnitude - 0.5) <= 1e-12
 
@@ -246,7 +244,7 @@ class TestPsdClamp:
         rng = np.random.default_rng(19)
         A = rng.standard_normal((5, 5))
         K = (A + A.T) / 2.0
-        out, magnitude = psd_clamp(K)
+        out, _, magnitude = psd_clamp(K)
         w, V = np.linalg.eigh(K)
         oracle = (V * np.maximum(w, 0.0)) @ V.T
         np.testing.assert_allclose(out, oracle, atol=1e-10)

@@ -5,12 +5,11 @@ from grasslrr import (
     GrassmannPoint,
     InvalidInputError,
     RankDeficientError,
-    grassmann_distance,
     orthonormalize,
     project_embed,
     sym_eig,
-    thin_svd,
 )
+from grasslrr.manifold import grassmann_distance, thin_svd
 
 
 def random_point(rng, d, p):
