@@ -134,7 +134,7 @@ def kmeans(
     """
     rows = as_matrix(rows, "rows")
     n = rows.shape[0]
-    if n_clusters > n:
+    if not (1 <= n_clusters <= n):
         raise InvalidConfigError(f"cannot split {n} points into {n_clusters} clusters")
     if restarts < 1:
         raise InvalidConfigError("restarts must be >= 1")

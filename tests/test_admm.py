@@ -16,8 +16,10 @@ from grasslrr import (
     project_embed,
     rho_rule,
     svt,
+    synth_union,
+    SynthSpec,
 )
-from grasslrr.admm import ETA_MARGIN, e_step, initial_state, z_step
+from grasslrr.admm import ETA_MARGIN, _svt, e_step, initial_state, z_step
 from grasslrr.clustering import NcutConfig, affinity_from_Z, cluster_pipeline
 
 
@@ -32,6 +34,10 @@ def random_points(seed, n, d, p):
 
 def svd_failure(*args, **kwargs):
     raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def eigh_failure(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
 class TestSvt:
@@ -60,6 +66,41 @@ class TestSvt:
         with pytest.raises(InvalidConfigError):
             svt(np.eye(3), -0.1)
 
+    @pytest.mark.parametrize("tau", [np.nan, -np.inf])
+    def test_non_numeric_threshold_rejected(self, tau):
+        with pytest.raises(InvalidConfigError):
+            svt(np.eye(3), tau)
+
+    def test_infinite_threshold_zeroes(self):
+        M = np.random.default_rng(5).standard_normal((4, 6))
+        assert np.array_equal(svt(M, np.inf), np.zeros((4, 6)))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-300, 1e200, 1e300])
+    def test_extreme_scales_match_svd(self, scale):
+        # squaring such M would underflow or overflow without the exponent shift
+        rng = np.random.default_rng(6)
+        M = rng.standard_normal((6, 4))
+        U, s, Vt = np.linalg.svd(M, full_matrices=False)
+        tau = 0.5 * s[1]
+        expected = (U * np.maximum(s - tau, 0.0)) @ Vt
+        Z, shrunk, driver = _svt(scale * M, scale * tau)
+        assert driver == "eigh"
+        assert np.max(np.abs(Z / scale - expected)) <= 1e-12 * s[0]
+        assert np.max(np.abs(shrunk / scale - np.maximum(s - tau, 0.0))) <= 1e-12 * s[0]
+
+    def test_gesvd_fallback_when_eigh_and_gesdd_fail(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        M = rng.standard_normal((5, 8))
+        tau = 0.8
+        U, s, Vt = np.linalg.svd(M, full_matrices=False)
+        oracle = (U * np.maximum(s - tau, 0.0)) @ Vt
+        monkeypatch.setattr("numpy.linalg.eigh", eigh_failure)
+        monkeypatch.setattr("numpy.linalg.svd", svd_failure)
+        Z, shrunk, driver = _svt(M, tau)
+        assert driver == "gesvd"
+        assert np.max(np.abs(Z - oracle)) <= 1e-12
+        assert np.max(np.abs(shrunk - np.maximum(s - tau, 0.0))) <= 1e-12
+
     def test_gesvd_fallback_when_gesdd_fails(self, monkeypatch):
         rng = np.random.default_rng(3)
         M = rng.standard_normal((7, 5))
@@ -70,11 +111,52 @@ class TestSvt:
         assert np.max(np.abs(svt(M, tau) - oracle)) <= 1e-12
 
     def test_both_drivers_failing_is_divergence(self, monkeypatch):
+        # every driver fails: eigh of the Gram side, gesdd and gesvd
         delta = build_delta(random_points(4, 6, 10, 2))
+        monkeypatch.setattr("numpy.linalg.eigh", eigh_failure)
         monkeypatch.setattr("numpy.linalg.svd", svd_failure)
         monkeypatch.setattr("scipy.linalg.svd", svd_failure)
         with pytest.raises(NumericalDivergenceError, match="iteration 1"):
             admm_solve(delta, AdmmConfig(lam=1.0, max_iters=3))
+
+
+class TestSvtDrivers:
+    @staticmethod
+    def robust_instance():
+        # four noisy 3-dimensional subspaces of R^30, 10% replaced by outliers
+        points, _ = synth_union(SynthSpec(n_clusters=4, per_cluster=10, d=30, p=3,
+                                          noise_sigma=0.05, seed=8))
+        rng = np.random.default_rng(8)
+        for i in rng.choice(len(points), 4, replace=False):
+            points[i] = random_point(rng, 30, 3)
+        return build_delta(points)
+
+    def test_robust_solve_runs_on_eigh(self):
+        _, _, report = admm_solve(self.robust_instance(), AdmmConfig(lam=1.0, max_iters=150))
+        assert report.svt_drivers == {"eigh": report.iterations, "gesdd": 0, "gesvd": 0}
+
+    def test_threshold_below_guard_runs_gesdd(self):
+        # a small lambda over a large penalty makes tau = lam / (eta mu) tiny
+        # against the SVT argument's sigma_max
+        cfg = AdmmConfig(lam=1e-3, mu0=1e3, max_iters=5)
+        _, _, report = admm_solve(self.robust_instance(), cfg)
+        assert report.svt_drivers == {"eigh": 0, "gesdd": 5, "gesvd": 0}
+
+    def test_eigh_failure_runs_gesdd(self, monkeypatch):
+        delta = self.robust_instance()
+        monkeypatch.setattr("numpy.linalg.eigh", eigh_failure)
+        _, _, report = admm_solve(delta, AdmmConfig(lam=1.0, max_iters=5))
+        assert report.svt_drivers == {"eigh": 0, "gesdd": 5, "gesvd": 0}
+
+    def test_drivers_do_not_change_iterates(self, monkeypatch):
+        delta = self.robust_instance()
+        cfg = AdmmConfig(lam=1.0, max_iters=30, eps1=1e-30)
+        _, _, fast = admm_solve(delta, cfg, track_iterates=True)
+        monkeypatch.setattr("numpy.linalg.eigh", eigh_failure)
+        _, _, exact = admm_solve(delta, cfg, track_iterates=True)
+        assert fast.svt_drivers["eigh"] == exact.svt_drivers["gesdd"] == 30
+        for Zf, Ze in zip(fast.z_history, exact.z_history):
+            assert np.max(np.abs(Zf - Ze)) <= 1e-12
 
 
 class TestESlice:
@@ -382,23 +464,27 @@ class TestStopReason:
 
 class TestIterationCost:
     @staticmethod
-    def count_svd_calls(monkeypatch):
+    def count_svd_calls(monkeypatch, name="svd"):
         calls = []
-        real = np.linalg.svd
+        real = getattr(np.linalg, name)
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr("numpy.linalg.svd", counting)
+        monkeypatch.setattr(f"numpy.linalg.{name}", counting)
         return calls
 
     def test_one_svd_per_iteration(self, monkeypatch):
+        # the SVT threshold is above the eigh path's precision guard on this
+        # instance, so each iteration's SVT is one eigh of the Gram side, no SVD
         delta = build_delta(random_points(22, 10, 12, 2))
-        calls = self.count_svd_calls(monkeypatch)
+        svd_calls = self.count_svd_calls(monkeypatch)
+        eigh_calls = self.count_svd_calls(monkeypatch, "eigh")
         _, _, report = admm_solve(delta, AdmmConfig(lam=0.5, max_iters=40))
         assert report.iterations == 40
-        assert len(calls) == report.iterations
+        assert len(eigh_calls) == report.iterations
+        assert len(svd_calls) == 0
 
     def test_pipeline_adds_no_svd(self, monkeypatch):
         points = random_points(23, 10, 12, 2)
@@ -409,6 +495,19 @@ class TestIterationCost:
         )
         assert diag["iterations"] == 40
         assert len(calls) <= diag["iterations"]
+
+    def test_pipeline_adds_one_eigh(self, monkeypatch):
+        # one eigh per ADMM iteration's SVT, and one for the normalized cut
+        points = random_points(23, 10, 12, 2)
+        svd_calls = self.count_svd_calls(monkeypatch)
+        eigh_calls = self.count_svd_calls(monkeypatch, "eigh")
+        _, _, diag = cluster_pipeline(
+            points, "glrr-21", NcutConfig(n_clusters=2, seed=0),
+            admm_cfg=AdmmConfig(lam=0.5, max_iters=40),
+        )
+        assert diag["iterations"] == 40
+        assert len(eigh_calls) == diag["iterations"] + 1
+        assert len(svd_calls) == 0
 
     def test_loop_matches_public_steps(self):
         # the loop reuses delta products across iterations; replaying the

@@ -182,6 +182,17 @@ class TestClusterCommand:
         assert (out1 / "labels.txt").read_bytes() == (out2 / "labels.txt").read_bytes()
         assert (out1 / "report.txt").read_bytes() == (out2 / "report.txt").read_bytes()
 
+    def test_glrr21_byte_identical_reruns(self, tmp_path, capsys):
+        data = run_synth(tmp_path, seed=13)
+        args = ["cluster", "--data", str(data), "--method", "glrr-21", "--lambda", "1,3",
+                "--clusters", "4", "--seed", "13", "--truth", str(data / "truth.txt")]
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
+        for name in ("lam_1/Z.mat", "lam_1/labels.txt", "lam_1/report.txt",
+                     "lam_3/Z.mat", "lam_3/labels.txt", "lam_3/report.txt"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
     def test_cli_accuracy_equals_library(self, tmp_path, capsys):
         data = run_synth(tmp_path, seed=13)
         out = tmp_path / "racc"
@@ -243,7 +254,7 @@ class TestClusterCommand:
 
     def test_svd_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         data = run_synth(tmp_path, seed=23)
-        real_svd = np.linalg.svd
+        real_svd, real_eigh = np.linalg.svd, np.linalg.eigh
 
         def fail_on_coefficients(a, *args, **kwargs):
             # only the 60 x 60 coefficient matrices; 30 x 3 bases still load
@@ -251,9 +262,16 @@ class TestClusterCommand:
                 raise np.linalg.LinAlgError("SVD did not converge")
             return real_svd(a, *args, **kwargs)
 
+        def fail_on_gram_side(a, *args, **kwargs):
+            # the SVT's eigh of the 60 x 60 Gram side of its argument
+            if np.shape(a) == (60, 60):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_eigh(a, *args, **kwargs)
+
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
+        monkeypatch.setattr("numpy.linalg.eigh", fail_on_gram_side)
         monkeypatch.setattr("numpy.linalg.svd", fail_on_coefficients)
         monkeypatch.setattr("scipy.linalg.svd", fail)
         capsys.readouterr()
@@ -263,8 +281,9 @@ class TestClusterCommand:
         assert "did not converge" in capsys.readouterr().err
 
     def test_glrr21_n500_single_thread_no_crash(self, tmp_path):
-        # numpy's gesdd fails to converge on an SVT argument of this run at
-        # iteration 69 with one OpenBLAS thread; the CLI must still honour 0/2/3
+        # with one OpenBLAS thread, numpy's gesdd failed to converge on an SVT
+        # argument of this run at iteration 69 (gesvd then took over); the SVT
+        # now serves all 80 iterations from eigh. The CLI must honour 0/2/3
         data = tmp_path / "n500"
         assert main(["synth", "--clusters", "10", "--per-cluster", "50", "--d", "30",
                      "--p", "3", "--sigma", "0.05", "--seed", "1", "--out", str(data)]) == 0

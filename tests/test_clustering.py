@@ -127,6 +127,11 @@ class TestKmeans:
         with pytest.raises(InvalidConfigError):
             kmeans(np.zeros((3, 2)), 4)
 
+    @pytest.mark.parametrize("n_clusters", [0, -1])
+    def test_nonpositive_cluster_count_rejected(self, n_clusters):
+        with pytest.raises(InvalidConfigError, match="clusters"):
+            kmeans(np.eye(4), n_clusters)
+
     @pytest.mark.parametrize("settings", [
         {"n_clusters": 1}, {"restarts": 0}, {"max_iters": 0}, {"max_iters": -1},
     ])

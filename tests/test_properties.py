@@ -33,6 +33,7 @@ from grasslrr import (
     write_matrix,
 )
 from grasslrr import dataio
+from grasslrr.admm import SVT_EIGH_GUARD, _svt
 from grasslrr.kernels import KERNEL_KINDS, KernelSpec, assemble_gram
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -331,3 +332,62 @@ def test_pipeline_is_permutation_equivariant(method, kwargs, case):
         # swapping them leaves the affinity as it was: no labelling can follow that
         # permutation, and only there may the label names differ
         assert np.array_equal(permuted, labels)
+
+
+SVT_THRESHOLDS = ("zero", "1e-14", "below-guard", "above-guard", "mid", "log-mid", "above-max")
+
+
+@st.composite
+def svt_cases(draw):
+    """(M, tau): a square, tall or wide matrix up to 40 on a side with a chosen
+    spectrum, and a threshold placed against that spectrum."""
+    m, n = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    m, n = draw(st.sampled_from([(m, m), (max(m, n), min(m, n)), (min(m, n), max(m, n))]))
+    k = min(m, n)
+    kind = draw(st.sampled_from(["random", "repeated", "rank-deficient", "graded"]))
+    sigma_max = 10.0 ** draw(st.integers(-2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        s = rng.uniform(0.0, 1.0, k)
+    elif kind == "repeated":
+        s = rng.choice([1.0, 0.5, 0.5, 0.1, 1e-3], k)
+    elif kind == "rank-deficient":
+        s = rng.uniform(0.0, 1.0, k) * (np.arange(k) < draw(st.integers(0, k - 1)))
+    else:
+        s = 10.0 ** -np.linspace(0.0, 15.0, k)
+    s = sigma_max * np.sort(s)[::-1] / max(np.max(s), 1e-300)
+    U = np.linalg.qr(rng.standard_normal((m, k)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    M = (U * s) @ V.T
+    top = float(np.linalg.svd(M, compute_uv=False)[0])
+    where = draw(st.sampled_from(SVT_THRESHOLDS))
+    if where == "zero":
+        tau = 0.0
+    elif where == "1e-14":
+        tau = 1e-14
+    elif where in ("below-guard", "above-guard"):
+        tau = (1.0 - 1e-3 if where == "below-guard" else 1.0 + 1e-3) * SVT_EIGH_GUARD * top
+    elif where == "mid":
+        tau = top * draw(st.floats(1e-3, 0.999))
+    elif where == "log-mid":  # inside a graded spectrum, on either side of the guard
+        tau = top * 10.0 ** -draw(st.floats(0.0, 15.0))
+    else:
+        tau = top * draw(st.floats(1.001, 4.0))
+    return M, tau
+
+
+@settings(PROPERTY, max_examples=200)
+@given(svt_cases())
+@example((np.zeros((3, 5)), 0.5))
+def test_svt_matches_gesdd_oracle(case):
+    M, tau = case
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    # a singular value within rounding of tau may land on either side of it
+    assume(np.all(np.abs(s - tau) > 1e-9 * max(s[0], 1e-300)) or tau < SVT_EIGH_GUARD * s[0])
+    expected = np.maximum(s - tau, 0.0)
+    Z, shrunk, _ = _svt(M, tau)
+    bound = 1e-12 * max(1.0, s[0])
+    assert Z.shape == M.shape and shrunk.shape == s.shape
+    assert np.count_nonzero(shrunk) == np.count_nonzero(expected)
+    assert np.max(np.abs(shrunk - expected)) <= bound
+    assert np.max(np.abs(Z - (U * expected) @ Vt)) <= bound
