@@ -8,6 +8,17 @@ Determinism and permutation equivariance are taken seriously: k-means
 canonicalizes the row order (lexicographic) before any seeded sampling and
 maps labels back afterwards, so permuting the input points permutes the
 output labels identically under the same seed.
+
+k-means runs all its restarts together as array computations: k-means++
+seeding over a (restarts, n) distance array, then Lloyd steps that assign
+every restart still moving from one GEMM.  Restart r draws from its own
+``SplitMix64.substream(seed, r)`` in the order a lone run would, a restart
+is frozen once its centres repeat exactly, and the lowest inertia wins, ties
+going to the lowest restart index.  The labels are those of running each
+restart on its own with direct squared differences (the oracle in
+``tests/test_clustering.py``): seeding uses direct differences, and an
+assignment the GEMM's rounding could flip is redone with them.  Reruns with
+the same BLAS thread count are byte-identical.
 """
 
 from __future__ import annotations
@@ -25,6 +36,8 @@ from .manifold import GrassmannPoint, as_matrix, canonical_signs
 from .rng import SplitMix64
 
 METHODS = ("glrr-f", "glrr-21", "kglrr")
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -70,53 +83,118 @@ def affinity_from_Z(Z) -> np.ndarray:
     return (A + A.T) / 2.0
 
 
-def _kmeanspp_init(rows: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
-    """Seeded k-means++ over rows already in canonical order."""
-    n = rows.shape[0]
-    chosen = np.empty(k, dtype=np.int64)
-    chosen[0] = min(int(rng.unit() * n), n - 1)
-    d2 = np.sum((rows - rows[chosen[0]]) ** 2, axis=1)
+def _kmeanspp_batch(canon: np.ndarray, k: int, restarts: int, seed: int) -> np.ndarray:
+    """Seeded k-means++ for every restart at once: (restarts, k) indices into ``canon``.
+
+    Restart r draws from ``SplitMix64.substream(seed, r)`` in the order a lone
+    run would.  Squared distances are direct differences, so a row equal to a
+    chosen one is exactly 0 away and a restart whose remaining mass is 0
+    takes its lowest unused index.
+    """
+    n = canon.shape[0]
+    rngs = [SplitMix64.substream(seed, r) for r in range(restarts)]
+    chosen = np.empty((restarts, k), dtype=np.int64)
+    chosen[:, 0] = [min(int(rng.unit() * n), n - 1) for rng in rngs]
+    diff = canon - canon[chosen[:, :1]]  # (restarts, n, m), reused for every pick
+    d2 = np.sum(np.square(diff, out=diff), axis=2)
     for t in range(1, k):
-        total = float(d2.sum())
-        if total <= 0.0:
-            # all mass on already-chosen coordinates: take the lowest unused index
-            used = set(chosen[:t].tolist())
-            nxt = next(i for i in range(n) if i not in used)
-            chosen[t] = nxt
-        else:
-            u = rng.unit() * total
-            cum = np.cumsum(d2)
-            chosen[t] = min(int(np.searchsorted(cum, u, side="right")), n - 1)
-        d2 = np.minimum(d2, np.sum((rows - rows[chosen[t]]) ** 2, axis=1))
-    return rows[chosen].copy()
+        totals = d2.sum(axis=1)
+        cum = np.cumsum(d2, axis=1)
+        for r, rng in enumerate(rngs):
+            if totals[r] <= 0.0:
+                # all mass on already-chosen coordinates: take the lowest unused index
+                used = set(chosen[r, :t].tolist())
+                chosen[r, t] = next(i for i in range(n) if i not in used)
+            else:
+                u = rng.unit() * totals[r]
+                chosen[r, t] = min(int(np.searchsorted(cum[r], u, side="right")), n - 1)
+        np.subtract(canon, canon[chosen[:, t : t + 1]], out=diff)
+        np.minimum(d2, np.sum(np.square(diff, out=diff), axis=2), out=d2)
+    return chosen
 
 
-def _lloyd(rows: np.ndarray, centers: np.ndarray, max_iters: int) -> tuple[np.ndarray, float]:
-    n, k = rows.shape[0], centers.shape[0]
-    labels = np.zeros(n, dtype=np.int64)
+def _nearest_centers(canon: np.ndarray, canon_t: np.ndarray, sq_norms: np.ndarray,
+                     centers: np.ndarray) -> np.ndarray:
+    """(restarts, n) index of each row's nearest centre, as argmin over direct differences.
+
+    One GEMM gives ||c||^2 - 2 c.x + ||x||^2 for every restart's centres.
+    That value and the direct sum of squared differences each lie within
+    (m + 2) eps/2 (||x|| + max ||c||)^2 of the true distance, so the two
+    forms pick the same centre where the runner-up is more than
+    8 (m + 4) eps (||x|| + max ||c||)^2 above the minimum, four times the gap
+    their errors could close.  Every other row, exact ties included, is
+    redone with direct differences and numpy's argmin, which takes the
+    lowest index.
+    """
+    restarts, k, m = centers.shape
+    c_sq = np.sum(centers**2, axis=2)
+    dist = centers.reshape(restarts * k, m) @ canon_t
+    dist *= -2.0
+    dist += c_sq.reshape(-1, 1)
+    dist += sq_norms
+    dist = dist.reshape(restarts, k, -1)
+    gap = (np.sqrt(sq_norms) + np.sqrt(c_sq.max(axis=1))[:, None]) ** 2
+    gap *= 8 * (m + 4) * _EPS
+    gap += 8 * (m + 4) * _TINY  # underflow in either form
+    near = dist <= (dist.min(axis=1) + gap)[:, None, :]
+    labels = np.argmax(near, axis=1)
+    r, i = np.nonzero(np.count_nonzero(near, axis=1) != 1)
+    if r.size:
+        direct = np.sum((canon[i, None, :] - centers[r]) ** 2, axis=2)
+        labels[r, i] = np.argmin(direct, axis=1)
+    return labels
+
+
+def _repair_empty(canon: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> None:
+    """Reseed each empty cluster on the row farthest from its centre, in place."""
+    counts = np.bincount(labels, minlength=centers.shape[0])
+    point_d = np.sum((canon - centers[labels]) ** 2, axis=1)
+    for j in np.flatnonzero(counts == 0):
+        far = int(np.argmax(point_d))
+        centers[j] = canon[far]
+        labels[far] = j
+        point_d[far] = -1.0
+
+
+def _lloyd_batch(canon: np.ndarray, centers: np.ndarray,
+                 max_iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd's algorithm from (restarts, k, m) ``centers``: labels and inertia per restart.
+
+    A restart is frozen once a step leaves its centres exactly as they were,
+    or after ``max_iters`` steps, while the others carry on, so each
+    restart's result is the one a run of its own would give.
+    """
+    restarts, k, m = centers.shape
+    canon_t = np.ascontiguousarray(canon.T)
+    sq_norms = np.sum(canon**2, axis=1)
+    labels = np.zeros((restarts, canon.shape[0]), dtype=np.int64)
+    active = np.arange(restarts)
     for _ in range(max_iters):
-        dist = np.sum((rows[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        labels = np.argmin(dist, axis=1)
-        # empty-cluster repair: reseed on the farthest point from its center
-        counts = np.bincount(labels, minlength=k)
-        if np.any(counts == 0):
-            point_d = dist[np.arange(n), labels].copy()
-            for j in np.flatnonzero(counts == 0):
-                far = int(np.argmax(point_d))
-                centers[j] = rows[far]
-                labels[far] = j
-                point_d[far] = -1.0
-        # np.add.at sums each cluster's rows in row order, as members.mean(axis=0)
-        # does for rows of two or more columns; a cluster left empty keeps its center
-        sums = np.zeros_like(centers)
-        np.add.at(sums, labels, rows)
-        counts = np.bincount(labels, minlength=k)[:, None]
-        new_centers = np.where(counts > 0, sums / np.maximum(counts, 1), centers)
-        if np.array_equal(new_centers, centers):
+        cur = centers[active]
+        lab = _nearest_centers(canon, canon_t, sq_norms, cur)
+        cell = lab + (np.arange(active.size) * k)[:, None]  # (restart, cluster) bin
+        counts = np.bincount(cell.ravel(), minlength=cur.shape[0] * k).reshape(-1, k, 1)
+        for a in np.flatnonzero(np.any(counts == 0, axis=(1, 2))):
+            _repair_empty(canon, cur[a], lab[a])
+            cell[a] = lab[a] + a * k
+            counts[a, :, 0] = np.bincount(lab[a], minlength=k)
+        # bincount adds each bin's weights in row order, as np.add.at does;
+        # with the column as outermost bin index one call sums every restart
+        col_cell = (cell.ravel() + counts.size * np.arange(m)[:, None]).ravel()
+        weights = np.tile(canon_t, active.size).ravel()
+        sums = np.bincount(col_cell, weights=weights, minlength=counts.size * m)
+        sums = sums.reshape(m, -1, k).transpose(1, 2, 0)
+        # a cluster left empty by the repair keeps its centre
+        new = np.where(counts > 0, sums / np.maximum(counts, 1), cur)
+        moved = np.any(new != cur, axis=(1, 2))
+        centers[active] = new
+        labels[active] = lab
+        active = active[moved]
+        if not active.size:
             break
-        centers = new_centers
-    inertia = float(np.sum((rows - centers[labels]) ** 2))
-    return labels, inertia
+    cell = labels + (np.arange(restarts) * k)[:, None]
+    resid = canon - np.take(centers.reshape(-1, m), cell, axis=0)
+    return labels, np.sum((resid**2).reshape(restarts, -1), axis=1)
 
 
 def kmeans(
@@ -130,7 +208,7 @@ def kmeans(
 
     Rows are sorted lexicographically before sampling and labels are mapped
     back, so the result is equivariant under permutations of the input rows.
-    Restart ties are broken by restart index.
+    All restarts run together; restart ties are broken by restart index.
     """
     rows = as_matrix(rows, "rows")
     n = rows.shape[0]
@@ -143,16 +221,11 @@ def kmeans(
     order = np.lexsort(rows.T[::-1])
     canon = rows[order]
 
-    best_labels, best_inertia = None, np.inf
-    for r in range(restarts):
-        rng = SplitMix64.substream(seed, r)
-        centers = _kmeanspp_init(canon, n_clusters, rng)
-        labels, inertia = _lloyd(canon, centers, max_iters)
-        if inertia < best_inertia:
-            best_labels, best_inertia = labels, inertia
+    chosen = _kmeanspp_batch(canon, n_clusters, restarts, seed)
+    labels, inertia = _lloyd_batch(canon, canon[chosen], max_iters)
 
     out = np.empty(n, dtype=np.int64)
-    out[order] = best_labels
+    out[order] = labels[int(np.argmin(inertia))]
     return ClusterLabels(labels=out, n_clusters=n_clusters)
 
 

@@ -13,6 +13,7 @@ text input they are read through ``read_lines``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -157,6 +158,8 @@ def _parse_value(token: str, path, line_no: int, col_no: int) -> float:
     try:
         # float.hex output always contains 'x'; anything else is plain decimal
         value = float.fromhex(token) if "x" in token or "X" in token else float(token)
+    except OverflowError:  # fromhex raises where float() would round to inf
+        value = math.inf
     except ValueError:
         raise InvalidInputError(
             f"{path}: cannot parse value at line {line_no}, column {col_no}: {token!r}"
@@ -203,6 +206,30 @@ def _parse_decimal(texts, cols):
     return np.concatenate(blocks)
 
 
+def _parse_hex(texts, cols):
+    """Hex rows converted by one ``float.fromhex`` pass, or None to defer to ``_parse_rows``.
+
+    Only a file whose every token holds an 'x' is taken: ``fromhex`` would
+    read a bare decimal as hex, and it rejects a second 'x', so the file's
+    count of them settles it.  Values are then the per-token parser's;
+    whatever ``fromhex`` rejects or overflows, a row of the wrong length and
+    any non-finite value are left to the per-token parser and its positioned
+    message.
+    """
+    rows = list(map(str.split, texts))
+    joined = "".join(texts)
+    if set(map(len, rows)) != {cols} or joined.count("x") + joined.count("X") != len(rows) * cols:
+        return None
+    try:
+        values = np.fromiter(map(float.fromhex, itertools.chain.from_iterable(rows)),
+                             dtype=np.float64, count=len(rows) * cols)
+    except (ValueError, OverflowError):
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values.reshape(len(texts), cols)
+
+
 def read_matrix(path) -> np.ndarray:
     lines = read_lines(path, "matrix file")
     if not lines:
@@ -221,11 +248,10 @@ def read_matrix(path) -> np.ndarray:
     if len(body) != rows:
         raise InvalidInputError(f"{path}: header promises {rows} rows but file has {len(body)}")
     texts = [ln for _, ln in body]
-    if not any("x" in ln or "X" in ln for ln in texts):
-        M = _parse_decimal(texts, cols)
-        if M is not None:
-            return M
-    return _parse_rows(path, cols, body)
+    joined = "".join(texts)
+    hexed = "x" in joined or "X" in joined
+    M = (_parse_hex if hexed else _parse_decimal)(texts, cols)
+    return M if M is not None else _parse_rows(path, cols, body)
 
 
 def write_manifest(path, entries) -> None:

@@ -19,7 +19,7 @@ from grasslrr import (
     synth_union,
     SynthSpec,
 )
-from grasslrr.admm import ETA_MARGIN, _svt, e_step, initial_state, z_step
+from grasslrr.admm import ETA_MARGIN, SVT_EIGH_GUARD, _svt, e_step, initial_state, z_step
 from grasslrr.clustering import NcutConfig, affinity_from_Z, cluster_pipeline
 
 
@@ -102,13 +102,22 @@ class TestSvt:
         assert np.max(np.abs(shrunk - np.maximum(s - tau, 0.0))) <= 1e-12
 
     def test_gesvd_fallback_when_gesdd_fails(self, monkeypatch):
+        # tau below the eigh guard, so gesdd runs, fails and hands over to gesvd
         rng = np.random.default_rng(3)
         M = rng.standard_normal((7, 5))
-        tau = 0.8
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
+        tau = 0.5 * SVT_EIGH_GUARD * s[0]
         oracle = (U * np.maximum(s - tau, 0.0)) @ Vt
-        monkeypatch.setattr("numpy.linalg.svd", svd_failure)
+        failed = []
+
+        def failing_svd(*args, **kwargs):
+            failed.append(1)
+            svd_failure()
+
+        monkeypatch.setattr("numpy.linalg.svd", failing_svd)
+        assert _svt(M, tau)[2] == "gesvd"
         assert np.max(np.abs(svt(M, tau) - oracle)) <= 1e-12
+        assert len(failed) == 2
 
     def test_both_drivers_failing_is_divergence(self, monkeypatch):
         # every driver fails: eigh of the Gram side, gesdd and gesvd
@@ -487,14 +496,17 @@ class TestIterationCost:
         assert len(svd_calls) == 0
 
     def test_pipeline_adds_no_svd(self, monkeypatch):
+        # a lambda this small puts every SVT threshold below the eigh guard, so
+        # each iteration is one gesdd, and the affinity, cut and k-means add none
         points = random_points(23, 10, 12, 2)
         calls = self.count_svd_calls(monkeypatch)
         _, _, diag = cluster_pipeline(
             points, "glrr-21", NcutConfig(n_clusters=2, seed=0),
-            admm_cfg=AdmmConfig(lam=0.5, max_iters=40),
+            admm_cfg=AdmmConfig(lam=1e-8, max_iters=40),
         )
         assert diag["iterations"] == 40
-        assert len(calls) <= diag["iterations"]
+        assert diag["solver_report"].svt_drivers == {"eigh": 0, "gesdd": 40, "gesvd": 0}
+        assert len(calls) == diag["iterations"]
 
     def test_pipeline_adds_one_eigh(self, monkeypatch):
         # one eigh per ADMM iteration's SVT, and one for the normalized cut

@@ -502,6 +502,11 @@ MALFORMED_INPUTS = {
     "matrix-non-numeric": ("matrix", b"2 2\n1 zero\n0 1\n", "line 2"),
     "matrix-nan": ("matrix", b"2 2\nnan 0\n0 1\n", "line 2"),
     "matrix-inf": ("matrix", b"2 2\n1 0\n0 -inf\n", "line 3"),
+    # float.fromhex raises OverflowError where float() gives inf
+    "matrix-hex-overflow": ("matrix", b"2 2\n0x1p+2000 0x0p+0\n0x0p+0 0x1p+0\n",
+                            "non-finite value at line 2, column 1"),
+    "matrix-mixed-hex-overflow": ("matrix", b"2 2\n1 0\n0 -0X1P+1024\n",
+                                  "non-finite value at line 3, column 2"),
     "matrix-header-rows": ("matrix", b"3 2\n1 0\n0 1\n", "3 rows"),
     "matrix-header-text": ("matrix", b"two 2\n1 0\n0 1\n", "header"),
     "truth-non-utf8": ("truth", b"0\n\xff\n", "line 2"),

@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grasslrr import (
     AdmmConfig,
@@ -25,6 +27,10 @@ from grasslrr import (
     orthonormalize,
     synth_union,
 )
+from grasslrr import clustering
+from grasslrr.rng import SplitMix64
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
 
 def brute_force_min_ncut(W):
@@ -143,6 +149,162 @@ class TestKmeans:
         if args["n_clusters"] >= 2:
             with pytest.raises(InvalidConfigError):
                 kmeans(np.eye(4), **args)
+
+
+def kmeanspp_init(rows, k, rng):
+    """Seeded k-means++ over rows already in canonical order, one restart."""
+    n = rows.shape[0]
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = min(int(rng.unit() * n), n - 1)
+    d2 = np.sum((rows - rows[chosen[0]]) ** 2, axis=1)
+    for t in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            # all mass on already-chosen coordinates: take the lowest unused index
+            used = set(chosen[:t].tolist())
+            nxt = next(i for i in range(n) if i not in used)
+            chosen[t] = nxt
+        else:
+            u = rng.unit() * total
+            cum = np.cumsum(d2)
+            chosen[t] = min(int(np.searchsorted(cum, u, side="right")), n - 1)
+        d2 = np.minimum(d2, np.sum((rows - rows[chosen[t]]) ** 2, axis=1))
+    return rows[chosen].copy()
+
+
+def lloyd(rows, centers, max_iters):
+    """Lloyd's algorithm for one restart: labels and inertia."""
+    n, k = rows.shape[0], centers.shape[0]
+    labels = np.zeros(n, dtype=np.int64)
+    for _ in range(max_iters):
+        dist = np.sum((rows[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        labels = np.argmin(dist, axis=1)
+        # empty-cluster repair: reseed on the farthest point from its center
+        counts = np.bincount(labels, minlength=k)
+        if np.any(counts == 0):
+            point_d = dist[np.arange(n), labels].copy()
+            for j in np.flatnonzero(counts == 0):
+                far = int(np.argmax(point_d))
+                centers[j] = rows[far]
+                labels[far] = j
+                point_d[far] = -1.0
+        sums = np.zeros_like(centers)
+        np.add.at(sums, labels, rows)
+        counts = np.bincount(labels, minlength=k)[:, None]
+        new_centers = np.where(counts > 0, sums / np.maximum(counts, 1), centers)
+        if np.array_equal(new_centers, centers):
+            break
+        centers = new_centers
+    inertia = float(np.sum((rows - centers[labels]) ** 2))
+    return labels, inertia
+
+
+def oracle_kmeans(rows, n_clusters, restarts=20, max_iters=300, seed=0):
+    """The restarts one after another, each a plain loop: the oracle for kmeans."""
+    order = np.lexsort(rows.T[::-1])
+    canon = rows[order]
+    best_labels, best_inertia = None, np.inf
+    for r in range(restarts):
+        centers = kmeanspp_init(canon, n_clusters, SplitMix64.substream(seed, r))
+        labels, inertia = lloyd(canon, centers, max_iters)
+        if inertia < best_inertia:
+            best_labels, best_inertia = labels, inertia
+    out = np.empty(rows.shape[0], dtype=np.int64)
+    out[order] = best_labels
+    return out
+
+
+@st.composite
+def kmeans_inputs(draw):
+    """(rows, n_clusters, restarts, max_iters, seed), rows often repeated, n_clusters often n."""
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(1, 12))
+    distinct = draw(st.integers(1, n))
+    kind = draw(st.sampled_from(["normal", "grid", "unit", "scaled"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "grid":  # small integers: exact ties between centres
+        base = rng.integers(-2, 3, (distinct, m)).astype(np.float64)
+    else:
+        base = rng.standard_normal((distinct, m))
+        if kind == "unit":  # row-normalized, as ncut hands them over
+            base /= np.linalg.norm(base, axis=1, keepdims=True)
+        elif kind == "scaled":
+            base *= 10.0 ** draw(st.integers(-150, 150))
+    rows = base[rng.integers(0, distinct, n)]
+    n_clusters = draw(st.one_of(st.just(n), st.integers(1, n)))
+    restarts = draw(st.integers(1, 5))
+    max_iters = draw(st.sampled_from([1, 2, 3, 300]))
+    return rows, n_clusters, restarts, max_iters, draw(st.integers(0, 2**64 - 1))
+
+
+class TestKmeansRestartsBatched:
+    """All restarts run as one array computation; each must match its own plain loop."""
+
+    @PROPERTY
+    @given(kmeans_inputs())
+    def test_matches_per_restart_oracle(self, case):
+        rows, *args = case
+        assert np.array_equal(kmeans(rows, *args).labels, oracle_kmeans(rows, *args))
+
+    @pytest.mark.parametrize("clusters, noise", [(3, 0.1), (6, 0.3), (10, 0.45)])
+    def test_matches_oracle_on_spectral_rows(self, clusters, noise, monkeypatch):
+        # ncut's own rows, 20 restarts of which some converge long before others
+        rng = np.random.default_rng(clusters)
+        blocks = np.repeat(np.arange(clusters), 20)
+        W = rng.uniform(0.0, noise, (blocks.size, blocks.size))
+        W = (W + W.T) / 2.0 + 0.5 * (blocks[:, None] == blocks[None, :])
+        np.fill_diagonal(W, 0.0)
+        seen = []
+        real = clustering.kmeans
+
+        def capture(rows, *args):
+            seen.append((rows, args))
+            return real(rows, *args)
+
+        monkeypatch.setattr(clustering, "kmeans", capture)
+        labels = ncut(W, NcutConfig(n_clusters=clusters, seed=clusters)).labels
+        [(rows, args)] = seen
+        assert args == (clusters, 20, 300, clusters)
+        assert np.array_equal(labels, oracle_kmeans(rows, *args))
+
+    @pytest.mark.parametrize("s, d", [
+        (5.115549075960075e-156, 7.602434297316864e-161),
+        (8.1170194965339e-156, 1.7232485418915265e-161),
+    ])
+    def test_subnormal_distances_follow_direct_differences(self, s, d):
+        # squared distances of about 1e-320 are subnormal: the GEMM form's
+        # error there is absolute, so the tie gap needs more than eps terms
+        canon = np.array([[s]])
+        centers = np.array([[[s + d], [s - d]]])
+        labels = clustering._nearest_centers(canon, canon.T.copy(), canon[:, 0] ** 2, centers)
+        direct = np.sum((canon[:, None, :] - centers[0]) ** 2, axis=2)
+        assert labels.tolist() == [[int(np.argmin(direct))]]
+
+    @PROPERTY
+    @given(kmeans_inputs(), st.integers(0, 2**32 - 1))
+    def test_permutation_equivariant_with_duplicated_rows(self, case, perm_seed):
+        rows, *args = case
+        perm = np.random.default_rng(perm_seed).permutation(rows.shape[0])
+        base = kmeans(rows, *args).labels
+        permuted = kmeans(rows[perm], *args).labels
+
+        def row_label_pairs(r, labels):
+            return sorted(zip(map(tuple, r.tolist()), labels.tolist()))
+
+        # copies of one row may trade labels among themselves, nothing more
+        assert row_label_pairs(rows[perm], permuted) == row_label_pairs(rows, base)
+        if np.unique(rows, axis=0).shape[0] == rows.shape[0]:
+            assert np.array_equal(permuted, base[perm])
+
+    @settings(PROPERTY, max_examples=40)
+    @given(st.integers(1, 16), st.integers(1, 12), st.data())
+    def test_identical_points_deterministic(self, n, m, data):
+        rows = np.full((n, m), data.draw(st.floats(-1e100, 1e100, allow_nan=False)))
+        n_clusters = data.draw(st.integers(1, n))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        first = kmeans(rows, n_clusters, seed=seed).labels
+        assert np.array_equal(kmeans(rows, n_clusters, seed=seed).labels, first)
+        assert np.array_equal(first, oracle_kmeans(rows, n_clusters, seed=seed))
 
 
 class TestNcut:

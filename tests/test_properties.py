@@ -223,6 +223,80 @@ def test_decimal_defects_give_per_token_outcome(M, defect, col, blanks):
     assert str(err.value) == f"{path}: {message}"
 
 
+HEX_FORMATS = {
+    "float.hex": float.hex,
+    "upper": lambda v: float.hex(v).upper(),
+    # trailing zeros of the fraction dropped: 0x1.8p+1, 0x1p+0, 0x0p+0
+    "short": lambda v: re.sub(r"\.?0+p", "p", float.hex(v)),
+}
+
+
+@PROPERTY
+@given(finite_matrices, st.sampled_from(sorted(HEX_FORMATS)))
+def test_hex_fast_path_matches_per_token_parse(M, style):
+    tokens = [[HEX_FORMATS[style](v) for v in row] for row in M.tolist()]
+    text = f"{M.shape[0]} {M.shape[1]}\n" + "".join(" ".join(row) + "\n" for row in tokens)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_text(tmp, text)
+        expected = dataio._parse_rows(path, M.shape[1], dataio.read_lines(path, "matrix")[1:])
+        # the per-token parser must not be needed for a well-formed hex file
+        with mock.patch.object(dataio, "_parse_rows", side_effect=AssertionError("slow path")):
+            back = read_matrix(path)
+    assert np.array_equal(back.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(back.view(np.int64), M.view(np.int64))
+
+
+@PROPERTY
+@given(
+    finite_matrices,
+    st.sampled_from(["decimal", "nan", "overflow", "bad", "two-x", "x-moved", "ragged", "wide"]),
+    st.integers(0, 4),
+)
+@example(np.array([[1.0, 2.0], [3.0, 4.0]]), "ragged", 0)  # rows of 3 and 1 under "2 2"
+@example(np.array([[10.0, 2.0]]), "decimal", 0)  # float.fromhex("10.0") is 16.0
+@example(np.array([[10.0, 2.0]]), "x-moved", 0)  # '0x0x1' and a bare '2.0'
+def test_hex_defects_give_per_token_outcome(M, defect, col):
+    rows, cols = M.shape
+    col %= cols
+    values = M.tolist()
+    tokens = [[float.hex(v) for v in row] for row in values]
+    if defect == "decimal":  # a valid mixed file: float() reads the bare token
+        tokens[-1][col] = repr(values[-1][col])
+    elif defect == "nan":
+        tokens[-1][col] = "nan"
+    elif defect == "overflow":
+        tokens[-1][col] = "-0x1p+2000"
+    elif defect == "bad":
+        tokens[-1][col] = "0x1.0.0"
+    elif defect == "two-x":
+        tokens[-1][col] = "0x0x1"
+    elif defect == "x-moved":  # the file's count of 'x' still equals its token count
+        assume(rows * cols >= 2)
+        tokens[0][0] = "0x0x1"
+        tokens[-1][-1] = repr(values[-1][-1])
+    elif defect == "ragged":
+        assume(rows >= 2 and cols >= 2)
+        tokens[0].append(tokens[-1].pop())
+    else:
+        for row in tokens:
+            row.append("0x0p+0")
+    text = f"{rows} {cols}\n" + "".join(" ".join(row) + "\n" for row in tokens)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_text(tmp, text)
+        body = dataio.read_lines(path, "matrix")[1:]
+        try:
+            expected = dataio._parse_rows(path, cols, body)
+        except InvalidInputError as exc:
+            with pytest.raises(InvalidInputError) as err:
+                read_matrix(path)
+            assert str(err.value) == str(exc)
+        else:
+            assert defect == "decimal"
+            back = read_matrix(path)
+            assert np.array_equal(back.view(np.int64), expected.view(np.int64))
+            assert np.array_equal(back.view(np.int64), M.view(np.int64))
+
+
 @PROPERTY
 @given(point_sets(), st.sampled_from(KERNEL_KINDS))
 def test_gram_invariant_under_basis_rotation(point_set, kind):
