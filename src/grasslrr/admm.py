@@ -16,30 +16,43 @@ O(N^2) no matter how large the ambient dimension;  ``dense_reference``
 re-runs the identical iteration on explicit d x d slices to validate the
 reformulation.
 
-Each iteration costs one symmetric eigendecomposition, three N x N products
-and two rank-r products.  The SVT takes its singular values and vectors from
-``eigh`` of the argument's Gram side M^T M instead of an SVD, and rebuilds
-the result from the r kept columns (two rank-r products).  The three N x N
-products are the Gram side itself and delta times the new E and Z
-coefficients; delta times the new multiplier coefficients is the old one
-plus mu times the residual's delta product, which the primal residual
-already forms.  The loop keeps those delta products between iterations and
-reads every other slice inner product off them (delta is symmetrized once,
-so delta^T = delta), and the objective's nuclear norm is the sum of the
-thresholded singular values the SVT already has.
+The loop runs in the Gram matrix's eigenbasis.  One ``eigh`` per solve
+writes delta = Q Lambda Q^T and keeps the m eigenvalues above
+N eps lambda_max, so Q is N x m (m <= d(d+1)/2 for points of G(p, d)).  The
+loop tracks only the m x N coordinates Q^T Z, Q^T E and Q^T Xi: a product by
+delta is a row scaling by Lambda, and the slice norm of a coefficient column
+w is ||Lambda^{1/2} Q^T w||.  Z starts at zero and every SVT argument is Z
+plus delta times a matrix, so Z's columns stay in range(Q), and since
+SVT(Q A) = Q SVT(A) the SVT runs on the m x N coordinates A.  E and Xi are
+returned as the representatives with no component in delta's null space,
+which carries no slice.  Z = Q (Q^T Z), E and the final state are formed
+once, at return (every iteration under ``track_iterates``).
 
-Squaring M halves the relative accuracy of its small singular values, so
-the eigh path runs only while the threshold is at least SVT_EIGH_GUARD =
-1e-4 times the largest singular value: every kept singular value is then at
-least 1e-4 sigma_max.  The property tests hold this path to 1e-12 sigma_max
-of an SVD; measured, it is 8.6e-13 sigma_max at worst just above the guard
-and 3.9e-15 sigma_max on the robust-21 benchmark's solves, whose thresholds
-are at least 0.0195 sigma_max.  Below the guard, or when ``eigh`` fails, the
-SVT is numpy's gesdd SVD, with scipy's gesvd as the last resort.
-``AdmmReport.svt_drivers`` counts the iterations each of the three served.
+An iteration costs one symmetric eigendecomposition of the min(m, N)-side
+Gram matrix of the SVT argument, two rank-r products that rebuild the
+result from the r kept singular vectors, and Lambda row scalings; when
+m = N that Gram matrix is the only N x N product.  The objective's nuclear
+norm is the sum of the thresholded singular values.
 
-The public ``e_step``, ``z_step`` and ``svt`` compute the same steps from
-scratch over the same private helpers.
+Squaring the argument halves the relative accuracy of its small singular
+values, so the eigh path runs only while the threshold is at least
+SVT_EIGH_GUARD = 1e-4 times the largest singular value: every kept singular
+value is then at least 1e-4 sigma_max.  The property tests hold this path
+to 1e-12 sigma_max of an SVD; measured, it is 8.6e-13 sigma_max at worst
+just above the guard and 3.9e-15 sigma_max on the robust-21 benchmark's
+solves, whose thresholds are at least 0.0195 sigma_max.  Below the guard,
+or when ``eigh`` fails, the SVT is numpy's gesdd SVD, with scipy's gesvd as
+the last resort.  ``AdmmReport.svt_drivers`` counts the iterations each of
+the three served.
+
+Each solve also certifies how far from optimal its answer can be.
+``primal_bound`` is the objective at the returned Z with E(i) = B_i minus
+its reconstruction, which meets the constraint exactly; ``dual_bound`` is
+the dual objective sum_i <Y(i), B_i> at the final multiplier Y, scaled into
+the dual feasible set (every ||Y(i)||_F <= 1 and the spectral norm of
+delta Xi at most lam).  The optimum lies between the two, so
+``relative_gap`` bounds the returned objective's excess; ``converged`` only
+says that the stopping tolerances were met.
 """
 
 from __future__ import annotations
@@ -62,6 +75,7 @@ DENSE_GUARD = 2_000_000
 ETA_MARGIN = 1.02
 # smallest tau / sigma_max at which the SVT squares M instead of running an SVD
 SVT_EIGH_GUARD = 1e-4
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -108,7 +122,7 @@ class AdmmConfig:
 
 @dataclass
 class AdmmState:
-    """Coefficient-space iterates; all-zero at iteration 0."""
+    """Coefficient-space iterates after the last iteration; all-zero at iteration 0."""
 
     Z: np.ndarray
     Ecoef: np.ndarray
@@ -135,12 +149,11 @@ class AdmmReport:
     z_singular_values: np.ndarray | None = None
     # iterations whose SVT ran on each driver (see _svt)
     svt_drivers: dict = field(default_factory=lambda: {"eigh": 0, "gesdd": 0, "gesvd": 0})
-
-
-def initial_state(n: int, mu0: float) -> AdmmState:
-    return AdmmState(
-        Z=np.zeros((n, n)), Ecoef=np.zeros((n, n)), Xicoef=np.zeros((n, n)), mu=mu0
-    )
+    # the certified optimality gap of admm_solve (module docstring); nan from
+    # dense_reference, which does not compute it
+    primal_bound: float = math.nan
+    dual_bound: float = math.nan
+    relative_gap: float = math.nan
 
 
 def _svt(M: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, str]:
@@ -198,57 +211,6 @@ def svt(M, tau: float) -> np.ndarray:
     return _svt(M, tau)[0]
 
 
-def _shrink_slices(W: np.ndarray, DW: np.ndarray, mu: float) -> np.ndarray:
-    """The E-step rule on columns W, given DW = delta @ W.
-
-    Column i: M = sqrt(w^T delta w); it becomes 0 when M < 1/mu, else
-    (1 - 1/(M mu)) w.
-    """
-    M = np.sqrt(np.maximum(np.sum(W * DW, axis=0), 0.0))
-    factor = np.zeros(W.shape[1])
-    hit = M >= 1.0 / mu
-    factor[hit] = 1.0 - 1.0 / (M[hit] * mu)
-    return W * factor[np.newaxis, :]
-
-
-def e_step(Z: np.ndarray, Xicoef: np.ndarray, mu: float, delta: np.ndarray) -> np.ndarray:
-    """Per-column slice shrinkage in coefficient space.
-
-    Column i: w = (e_i - Z[:, i]) + Xicoef[:, i]/mu, M = sqrt(w^T delta w);
-    the new column is 0 when M < 1/mu, else (1 - 1/(M mu)) w.
-    """
-    W = (np.eye(Z.shape[0]) - Z) + Xicoef / mu
-    return _shrink_slices(W, delta @ W, mu)
-
-
-def _z_argument(Z, DZ, D, DE, DXi, mu: float, eta: float) -> np.ndarray:
-    """The SVT argument Z - grad/(eta mu), grad = mu*DZ - mu*(D - DE + DXi/mu)."""
-    grad = mu * DZ - mu * (D - DE + DXi / mu)
-    return Z - grad / (eta * mu)
-
-
-def z_step(
-    Z: np.ndarray,
-    Ecoef: np.ndarray,
-    Xicoef: np.ndarray,
-    mu: float,
-    eta: float,
-    lam: float,
-    delta: np.ndarray,
-) -> np.ndarray:
-    """Linearized proximal step: SVT of Z - grad/(eta mu) at threshold lam/(eta mu).
-
-    Phi = Xicoef^T delta and Psi = Ecoef^T delta realize the slice-trace
-    matrices [tr(xi(i)^T B_j)] and [tr(E(i)^T B_j)] without any d x d work.
-    The smooth-term gradient is mu*delta@Z - mu*(delta - Psi + Phi/mu)^T;
-    column i of Z weights the reconstruction of slice i, which places delta
-    on the left of Z (the row-convention ordering is unstable here).
-    """
-    Dt = delta.T
-    arg = _z_argument(Z, delta @ Z, Dt, Dt @ Ecoef, Dt @ Xicoef, mu, eta)
-    return svt(arg, lam / (eta * mu))
-
-
 def rho_rule(change: float, config: AdmmConfig) -> float:
     """Penalty growth factor: rho0 while the scaled iterate change is small."""
     return config.rho0 if change <= config.eps2 else 1.0
@@ -258,9 +220,20 @@ def mu_update(mu: float, rho_applied: float, mu_max: float = 1e10) -> float:
     return min(rho_applied * mu, mu_max)
 
 
-def _sum_inner(A: np.ndarray, DA: np.ndarray) -> float:
-    """Sum over columns of a^T delta a, given DA = delta @ A (total squared slice norm)."""
-    return float(max(np.sum(A * DA), 0.0))
+def _weighted_sq(lam_d: np.ndarray, A: np.ndarray) -> float:
+    """sum_k lam_d[k] ||A[k]||^2: the total squared slice norm of the columns of Q A."""
+    return float(np.einsum("ij,ij->i", A, A) @ lam_d)
+
+
+def _gap(lam_d, QT, Zh, Xh, shrunk, lam: float) -> tuple[float, float, float]:
+    """Primal bound at Q Zh, dual bound from the multiplier Q Xh, and their relative gap."""
+    primal = float(np.sum(np.sqrt(lam_d @ np.square(QT - Zh)))) + lam * float(np.sum(shrunk))
+    LX = lam_d[:, None] * Xh  # Q^T delta Xi; its spectral norm comes off the smaller Gram side
+    top = np.linalg.eigvalsh(LX @ LX.T if LX.shape[0] < LX.shape[1] else LX.T @ LX)[-1]
+    # Xi divided by this is dual feasible: slice norms <= 1, ||delta Xi||_2 <= lam
+    scale = max(float(np.max(np.sqrt(lam_d @ np.square(Xh)))), math.sqrt(max(top, 0.0)) / lam)
+    dual = float(np.sum(LX * QT)) / scale if scale > 0.0 else 0.0
+    return primal, dual, (primal - dual) / primal
 
 
 def admm_solve(
@@ -271,101 +244,107 @@ def admm_solve(
     """Run the coefficient-space ADMM to convergence or ``max_iters``.
 
     Returns the coefficient matrix, the error coefficients (column i holds
-    the expansion of slice error E(i) over the embedded points), and a
-    report.  Non-convergence is flagged, not raised; the iterate with the
-    smallest primal residual is returned in that case.
+    the expansion of slice error E(i) over the embedded points, with no
+    component in delta's null space), and a report.  Non-convergence is
+    flagged, not raised; the iterate with the smallest primal residual is
+    returned in that case.
     """
     D = as_matrix(delta.values if isinstance(delta, DeltaMatrix) else delta, "delta")
     n = D.shape[0]
     if D.shape[0] != D.shape[1]:
         raise InvalidConfigError(f"delta must be square, got {D.shape}")
-    D = (D + D.T) / 2.0
 
-    sigma_max = float(np.linalg.eigvalsh(D)[-1])
-    x_norm = float(np.sqrt(max(sigma_max, 0.0)))
+    w, Q = np.linalg.eigh((D + D.T) / 2.0)
+    sigma_max = float(w[-1])
     eta = ETA_MARGIN * sigma_max if config.eta is None else float(config.eta)
     if not (eta > sigma_max):
         raise InvalidConfigError(
             f"eta={eta} must exceed the largest Gram eigenvalue {sigma_max}"
         )
+    if not (sigma_max > 0.0):
+        raise InvalidInputError("delta must have a positive eigenvalue")
+    x_norm = math.sqrt(sigma_max)
+    # delta's range: the eigenvalues above rounding level
+    keep = w > n * _EPS * sigma_max
+    lam_d, Q = w[keep], Q[:, keep]
+    QT = np.ascontiguousarray(Q.T)  # coordinates of the identity
+    grad_scale = lam_d[:, None] / eta
 
-    state = initial_state(n, config.mu0)
     report = AdmmReport(iterations=0, converged=False)
     if track_iterates:
         report.z_history = []
         report.e_history = []
 
-    eye = np.eye(n)
-    DZ, DE, DXi = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
-    # (primal, Z, E, thresholded singular values of Z, iteration); the arrays
+    mu = config.mu0
+    Zh, Eh, Xh = (np.zeros((lam_d.size, n)) for _ in range(3))
+    shrunk = np.zeros(0)
+    # (primal, Zh, Eh, thresholded singular values, iteration); the arrays
     # are never written in place, so holding references is enough
-    best = (np.inf, state.Z, state.Ecoef, np.zeros(n), 0)
+    best = (np.inf, Zh, Eh, shrunk, 0)
 
     for k in range(config.max_iters):
-        mu = state.mu
-        E_next = _shrink_slices((eye - state.Z) + state.Xicoef / mu, D - DZ + DXi / mu, mu)
-        DE_next = D @ E_next
+        # E-step on W = Q^T((I - Z) + Xi/mu): column i shrinks by its slice norm
+        W = QT - Zh + Xh / mu
+        norms = np.sqrt(lam_d @ np.square(W))
+        factor = np.zeros(n)
+        hit = norms >= 1.0 / mu
+        factor[hit] = 1.0 - 1.0 / (norms[hit] * mu)
+        Eh_next = W * factor
+        # Z-step: SVT of Z - delta (Z - I + E - Xi/mu) / eta, where Z - I + E - Xi/mu = E - W
         try:
-            Z_next, shrunk, driver = _svt(
-                as_matrix(_z_argument(state.Z, DZ, D, DE_next, DXi, mu, eta), "M"),
-                config.lam / (eta * mu),
+            Zh_next, shrunk, driver = _svt(
+                as_matrix(Zh - grad_scale * (Eh_next - W), "M"), config.lam / (eta * mu)
             )
         except (InvalidInputError, np.linalg.LinAlgError) as exc:
             # a non-finite SVT argument or an SVT that fails on every driver is
             # divergence, not bad user input
             raise NumericalDivergenceError(f"iteration {k + 1}: {exc}") from exc
         report.svt_drivers[driver] += 1
-        DZ_next = D @ Z_next
-        residual_cols = eye - Z_next - E_next
-        # delta times the residual: the primal norm reads it, and since
-        # Xi_next = Xi + mu * residual, it also updates delta @ Xi without a product
-        D_residual = D - DZ_next - DE_next
-        Xi_next = state.Xicoef + mu * residual_cols
+        residual = QT - Zh_next - Eh_next
+        Xh_next = Xh + mu * residual
 
         if not (
-            np.isfinite(Z_next).all()
-            and np.isfinite(E_next).all()
-            and np.isfinite(Xi_next).all()
+            np.isfinite(Zh_next).all()
+            and np.isfinite(Eh_next).all()
+            and np.isfinite(Xh_next).all()
         ):
             raise NumericalDivergenceError(f"non-finite iterate at iteration {k + 1}")
 
-        dz = np.sqrt(eta) * float(np.linalg.norm(Z_next - state.Z))
-        de = float(np.sqrt(_sum_inner(E_next - state.Ecoef, DE_next - DE)))
+        dz = math.sqrt(eta) * float(np.linalg.norm(Zh_next - Zh))
+        de = math.sqrt(_weighted_sq(lam_d, Eh_next - Eh))
         change = mu * max(dz, de) / x_norm
-        primal = float(np.sqrt(_sum_inner(residual_cols, D_residual))) / x_norm
-
-        objective = float(
-            np.sum(np.sqrt(np.maximum(np.sum(E_next * DE_next, axis=0), 0.0)))
-            + config.lam * float(np.sum(shrunk))
-        )
+        primal = math.sqrt(_weighted_sq(lam_d, residual)) / x_norm
+        # column i of E is factor_i times column i of W, and so is its slice norm
+        objective = float(factor @ norms) + config.lam * float(np.sum(shrunk))
 
         report.primal_residual_history.append(primal)
         report.objective_history.append(objective)
         report.mu_history.append(mu)
         if track_iterates:
-            report.z_history.append(Z_next.copy())
-            report.e_history.append(E_next.copy())
+            report.z_history.append(Q @ Zh_next)
+            report.e_history.append(Q @ Eh_next)
 
-        state.Z, state.Ecoef, state.Xicoef = Z_next, E_next, Xi_next
-        DZ, DE, DXi = DZ_next, DE_next, DXi + mu * D_residual
-        state.mu = mu_update(mu, rho_rule(change, config), config.mu_max)
-        state.iter = k + 1
+        Zh, Eh, Xh = Zh_next, Eh_next, Xh_next
+        mu = mu_update(mu, rho_rule(change, config), config.mu_max)
         report.iterations = k + 1
 
-        if primal < best[0]:
-            best = (primal, Z_next, E_next, shrunk, k + 1)
-
-        if primal <= config.eps1 and change <= config.eps2:
+        converged = primal <= config.eps1 and change <= config.eps2
+        if primal < best[0] or converged:
+            best = (primal, Zh, Eh, shrunk, k + 1)
+        if converged:
             report.converged = True
+            report.stop_reason = "converged"
             break
 
-    report.final_state = state
-    if report.converged:
-        report.stop_reason = "converged"
-        Z_out, E_out = state.Z, state.Ecoef
-        report.z_singular_values, report.returned_iteration = shrunk, report.iterations
-    else:
-        _, Z_out, E_out, report.z_singular_values, report.returned_iteration = best
+    Z_last, E_last = Q @ Zh, Q @ Eh
+    report.final_state = AdmmState(Z=Z_last, Ecoef=E_last, Xicoef=Q @ Xh, mu=mu,
+                                   iter=report.iterations)
+    _, Zh_out, Eh_out, s_out, report.returned_iteration = best
+    Z_out, E_out = (Z_last, E_last) if Zh_out is Zh else (Q @ Zh_out, Q @ Eh_out)
+    report.z_singular_values = np.concatenate((s_out, np.zeros(n - s_out.size)))
+    report.primal_bound, report.dual_bound, report.relative_gap = _gap(
+        lam_d, QT, Zh_out, Xh, s_out, config.lam
+    )
     return LowRankCoefficients(Z=Z_out), E_out, report
 
 
@@ -418,7 +397,7 @@ def dense_reference(
             if M >= 1.0 / mu:
                 E_next[i] = (1.0 - 1.0 / (M * mu)) * W
 
-        # Z-step from dense slice traces (same delta-on-the-left gradient as z_step).
+        # Z-step from dense slice traces (same delta-on-the-left gradient as admm_solve).
         phi = np.einsum("iab,jab->ij", Xi, B)
         psi = np.einsum("iab,jab->ij", E_next, B)
         grad = mu * (D @ Z) - mu * (D - psi + phi / mu).T

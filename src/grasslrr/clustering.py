@@ -218,6 +218,10 @@ def kmeans(
         raise InvalidConfigError("restarts must be >= 1")
     if max_iters < 1:  # zero Lloyd steps would leave every point in cluster 0
         raise InvalidConfigError("k-means max_iters must be >= 1")
+    # a squared distance is at most 4 m max|x|^2, and seeding and the inertia
+    # sum n of them; past float64's range every distance is inf or nan
+    if np.max(np.abs(rows)) > np.sqrt(np.finfo(np.float64).max / (4 * n * rows.shape[1])):
+        raise InvalidInputError("k-means rows too large: squared distances overflow float64")
     order = np.lexsort(rows.T[::-1])
     canon = rows[order]
 

@@ -6,6 +6,7 @@ import pytest
 from grasslrr import (
     AdmmConfig,
     InvalidConfigError,
+    InvalidInputError,
     NumericalDivergenceError,
     OracleTooLargeError,
     admm_solve,
@@ -19,8 +20,9 @@ from grasslrr import (
     synth_union,
     SynthSpec,
 )
-from grasslrr.admm import ETA_MARGIN, SVT_EIGH_GUARD, _svt, e_step, initial_state, z_step
+from grasslrr.admm import ETA_MARGIN, SVT_EIGH_GUARD, _svt
 from grasslrr.clustering import NcutConfig, affinity_from_Z, cluster_pipeline
+from oracles import e_step, z_step
 
 
 def random_point(rng, d, p):
@@ -38,6 +40,17 @@ def svd_failure(*args, **kwargs):
 
 def eigh_failure(*args, **kwargs):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def fail_svt_eigh(monkeypatch):
+    # a solve's first eigh decomposes the Gram matrix; every later one is an SVT's
+    real, calls = np.linalg.eigh, []
+
+    def eigh(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs) if len(calls) == 1 else eigh_failure()
+
+    monkeypatch.setattr("numpy.linalg.eigh", eigh)
 
 
 class TestSvt:
@@ -122,7 +135,7 @@ class TestSvt:
     def test_both_drivers_failing_is_divergence(self, monkeypatch):
         # every driver fails: eigh of the Gram side, gesdd and gesvd
         delta = build_delta(random_points(4, 6, 10, 2))
-        monkeypatch.setattr("numpy.linalg.eigh", eigh_failure)
+        fail_svt_eigh(monkeypatch)
         monkeypatch.setattr("numpy.linalg.svd", svd_failure)
         monkeypatch.setattr("scipy.linalg.svd", svd_failure)
         with pytest.raises(NumericalDivergenceError, match="iteration 1"):
@@ -153,7 +166,7 @@ class TestSvtDrivers:
 
     def test_eigh_failure_runs_gesdd(self, monkeypatch):
         delta = self.robust_instance()
-        monkeypatch.setattr("numpy.linalg.eigh", eigh_failure)
+        fail_svt_eigh(monkeypatch)
         _, _, report = admm_solve(delta, AdmmConfig(lam=1.0, max_iters=5))
         assert report.svt_drivers == {"eigh": 0, "gesdd": 5, "gesvd": 0}
 
@@ -161,7 +174,7 @@ class TestSvtDrivers:
         delta = self.robust_instance()
         cfg = AdmmConfig(lam=1.0, max_iters=30, eps1=1e-30)
         _, _, fast = admm_solve(delta, cfg, track_iterates=True)
-        monkeypatch.setattr("numpy.linalg.eigh", eigh_failure)
+        fail_svt_eigh(monkeypatch)
         _, _, exact = admm_solve(delta, cfg, track_iterates=True)
         assert fast.svt_drivers["eigh"] == exact.svt_drivers["gesdd"] == 30
         for Zf, Ze in zip(fast.z_history, exact.z_history):
@@ -361,6 +374,38 @@ class TestAdmmSolve:
         with pytest.raises(InvalidConfigError):
             admm_solve(delta, AdmmConfig(lam=1.0, eta=0.5 * sigma_max))
 
+    @pytest.mark.parametrize("case", ["16-points-d4", "four-copies"])
+    def test_truncated_eigenbasis_matches_dense_reference(self, case):
+        # fewer Gram eigenvalues than points: m <= d(d+1)/2 = 10 < 16, and
+        # four copies of one point give m = 1
+        if case == "four-copies":
+            points = [random_point(np.random.default_rng(26), 6, 2)] * 4
+        else:
+            points = random_points(25, 16, 4, 2)
+        n = len(points)
+        D = build_delta(points).values
+        w, V = np.linalg.eigh(D)
+        Q = V[:, w > n * np.finfo(np.float64).eps * w[-1]]
+        assert Q.shape[1] == 1 if case == "four-copies" else 1 < Q.shape[1] <= 10
+        # capping the penalty keeps the SVT threshold above the eigh guard
+        cfg = AdmmConfig(lam=0.5, mu_max=100.0, max_iters=50, eps1=1e-30)
+        _, E, rep_c = admm_solve(D, cfg, track_iterates=True)
+        _, _, rep_d = dense_reference(points, cfg, track_iterates=True)
+        B = np.stack([project_embed(X) for X in points])
+        assert rep_c.iterations == rep_d.iterations == 50
+        assert rep_c.svt_drivers["eigh"] == 50
+        for k in range(50):
+            assert np.max(np.abs(rep_c.z_history[k] - rep_d.z_history[k])) <= 1e-8
+            slices = np.einsum("ji,jab->iab", rep_c.e_history[k], B)
+            assert np.max(np.abs(slices - np.stack(rep_d.e_history[k]))) <= 1e-8
+        # the returned error coefficients have no component in delta's null space
+        assert np.max(np.abs(E - Q @ (Q.T @ E))) <= 1e-12
+
+    def test_gram_matrix_without_positive_eigenvalue_rejected(self):
+        # an explicit eta passes the spectrum check; the solve needs delta's range
+        with pytest.raises(InvalidInputError, match="positive eigenvalue"):
+            admm_solve(np.zeros((3, 3)), AdmmConfig(lam=1.0, eta=1.0))
+
     def test_memory_independent_of_ambient_dimension(self):
         # solver state lives in N x N coefficient space; with d = 3000 a single
         # d x d buffer would be ~72 MB
@@ -374,11 +419,55 @@ class TestAdmmSolve:
         assert peak < 20_000_000
 
     def test_initial_state_zero(self):
-        state = initial_state(4, 0.01)
+        points = random_points(14, 5, 8, 2)
+        _, _, report = admm_solve(build_delta(points), AdmmConfig(lam=1.0, max_iters=0))
+        state = report.final_state
         assert np.max(np.abs(state.Z)) == 0.0
         assert np.max(np.abs(state.Ecoef)) == 0.0
         assert np.max(np.abs(state.Xicoef)) == 0.0
+        assert state.mu == 0.01
         assert state.iter == 0
+
+
+class TestCertificate:
+    def test_gap_closes_when_zero_is_optimal(self):
+        # at lam >= sigma_max(delta)/sqrt(p), Z = 0 is optimal with the dual
+        # point Y(i) = B_i/sqrt(p), and both bounds equal N sqrt(p)
+        for seed, n, d, p in ((0, 6, 10, 2), (1, 16, 4, 2), (2, 8, 12, 3)):
+            D = build_delta(random_points(seed, n, d, p)).values
+            lam = 1.01 * float(np.linalg.eigvalsh(D)[-1]) / np.sqrt(p)
+            Z, _, report = admm_solve(D, AdmmConfig(lam=lam))
+            assert np.max(np.abs(Z.Z)) == 0.0
+            assert report.primal_bound == pytest.approx(n * np.sqrt(p), rel=1e-14)
+            assert abs(report.relative_gap) <= 1e-12
+
+    @pytest.mark.parametrize("cfg", [AdmmConfig(lam=1.2), AdmmConfig(lam=0.4, max_iters=25)])
+    def test_bounds_match_original_coordinates(self, cfg):
+        # primal: the objective at the returned Z with E = I - Z; dual: the
+        # final multiplier scaled to slice norms <= 1 and ||delta Xi||_2 <= lam
+        points = random_points(27, 12, 5, 2)  # N = 12 < d(d+1)/2 = 15
+        D = build_delta(points).values
+        Z, _, report = admm_solve(D, cfg)
+        R = np.eye(12) - Z.Z
+        slices = np.sqrt(np.maximum(np.sum(R * (D @ R), axis=0), 0.0))
+        nuclear = np.sum(np.linalg.svd(Z.Z, compute_uv=False))
+        primal = np.sum(slices) + cfg.lam * nuclear
+        Xi = report.final_state.Xicoef
+        DXi = D @ Xi
+        scale = min(1.0 / np.sqrt(np.max(np.sum(Xi * DXi, axis=0))),
+                    cfg.lam / np.linalg.norm(DXi, 2))
+        dual = scale * np.trace(DXi)
+        assert report.primal_bound == pytest.approx(primal, rel=1e-10)
+        assert report.dual_bound == pytest.approx(dual, rel=1e-10)
+        assert report.relative_gap == pytest.approx((primal - dual) / primal, rel=1e-8)
+        assert 0.0 < report.relative_gap < 1.0
+
+    def test_zero_iterations_certify_nothing(self):
+        points = random_points(14, 5, 8, 2)
+        _, _, report = admm_solve(build_delta(points), AdmmConfig(lam=1.0, max_iters=0))
+        assert report.primal_bound == pytest.approx(5 * np.sqrt(2), rel=1e-14)
+        assert report.dual_bound == 0.0
+        assert report.relative_gap == 1.0
 
 
 class TestDenseReference:
@@ -486,13 +575,17 @@ class TestIterationCost:
 
     def test_one_svd_per_iteration(self, monkeypatch):
         # the SVT threshold is above the eigh path's precision guard on this
-        # instance, so each iteration's SVT is one eigh of the Gram side, no SVD
+        # instance, so each iteration's SVT is one eigh of the Gram side, no
+        # SVD; one more eigh per solve decomposes the Gram matrix, and the one
+        # eigvalsh is the dual bound's spectral norm
         delta = build_delta(random_points(22, 10, 12, 2))
         svd_calls = self.count_svd_calls(monkeypatch)
         eigh_calls = self.count_svd_calls(monkeypatch, "eigh")
+        eigvalsh_calls = self.count_svd_calls(monkeypatch, "eigvalsh")
         _, _, report = admm_solve(delta, AdmmConfig(lam=0.5, max_iters=40))
         assert report.iterations == 40
-        assert len(eigh_calls) == report.iterations
+        assert len(eigh_calls) == report.iterations + 1
+        assert len(eigvalsh_calls) == 1
         assert len(svd_calls) == 0
 
     def test_pipeline_adds_no_svd(self, monkeypatch):
@@ -509,16 +602,19 @@ class TestIterationCost:
         assert len(calls) == diag["iterations"]
 
     def test_pipeline_adds_one_eigh(self, monkeypatch):
-        # one eigh per ADMM iteration's SVT, and one for the normalized cut
+        # one eigh per ADMM iteration's SVT, one for the Gram matrix's
+        # eigenbasis, and one for the normalized cut
         points = random_points(23, 10, 12, 2)
         svd_calls = self.count_svd_calls(monkeypatch)
         eigh_calls = self.count_svd_calls(monkeypatch, "eigh")
+        eigvalsh_calls = self.count_svd_calls(monkeypatch, "eigvalsh")
         _, _, diag = cluster_pipeline(
             points, "glrr-21", NcutConfig(n_clusters=2, seed=0),
             admm_cfg=AdmmConfig(lam=0.5, max_iters=40),
         )
         assert diag["iterations"] == 40
-        assert len(eigh_calls) == diag["iterations"] + 1
+        assert len(eigh_calls) == diag["iterations"] + 2
+        assert len(eigvalsh_calls) == 1
         assert len(svd_calls) == 0
 
     def test_loop_matches_public_steps(self):

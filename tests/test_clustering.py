@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from grasslrr import (
     admm_solve,
     ClusterLabels,
     InvalidConfigError,
+    InvalidInputError,
     KernelSpec,
     LowRankCoefficients,
     NcutConfig,
@@ -149,6 +151,20 @@ class TestKmeans:
         if args["n_clusters"] >= 2:
             with pytest.raises(InvalidConfigError):
                 kmeans(np.eye(4), **args)
+
+    def test_rows_whose_distances_overflow_rejected(self):
+        # squared distances of rows near 1e200 are inf: the labels were
+        # meaningless and numpy warned of overflow
+        rows = np.array([[1e200, 0.0], [-1e200, 1.0], [3e199, 2.0], [0.0, -1e200]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidInputError, match="overflow"):
+                kmeans(rows, 2)
+        assert caught == []
+        # at 1e150 every distance and sum is finite, and the split is the unscaled one
+        labels = kmeans(rows * 1e-50, 2).labels
+        assert np.array_equal(labels, kmeans(rows * 1e-200, 2).labels)
+        assert len(set(labels.tolist())) == 2
 
 
 def kmeanspp_init(rows, k, rng):

@@ -24,6 +24,7 @@ from grasslrr import (
     NcutConfig,
     SynthSpec,
     accuracy,
+    admm_solve,
     build_delta,
     cluster_pipeline,
     hungarian,
@@ -465,3 +466,14 @@ def test_svt_matches_gesdd_oracle(case):
     assert np.count_nonzero(shrunk) == np.count_nonzero(expected)
     assert np.max(np.abs(shrunk - expected)) <= bound
     assert np.max(np.abs(Z - (U * expected) @ Vt)) <= bound
+
+
+@settings(PROPERTY, max_examples=40)
+@given(point_sets(), st.floats(0.05, 5.0), st.integers(0, 60))
+def test_admm_dual_bound_never_exceeds_primal_bound(point_set, lam, max_iters):
+    # weak duality: whatever the iterate, the certified gap is nonnegative
+    points, _ = point_set
+    _, _, report = admm_solve(build_delta(points), AdmmConfig(lam=lam, max_iters=max_iters))
+    assert np.isfinite([report.primal_bound, report.dual_bound]).all()
+    assert report.dual_bound <= report.primal_bound * (1.0 + 1e-12)
+    assert report.relative_gap >= -1e-12
