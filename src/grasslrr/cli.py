@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import closing
 from dataclasses import fields
 
 import numpy as np
@@ -208,32 +209,35 @@ def cmd_cluster(args) -> int:
         settings = {f.name: getattr(args, f.name) for f in fields(AdmmConfig) if f.name != "lam"}
         admm_cfg = AdmmConfig(lam=lambdas[0], **settings)
 
-    sweep = cluster_sweep(points, args.method, ncut_cfg, lambdas, kernel_spec, admm_cfg)
-    for lam, (labels, coeffs, diag) in zip(lambdas, sweep):
-        acc_text = "-"
-        report = {
-            "method": args.method,
-            "lambda": repr(lam),
-            "iterations": diag["iterations"],
-            "converged": "true" if diag["converged"] else "false",
-        }
-        if truth is not None:
-            acc = accuracy(labels, truth).accuracy
-            acc_text = f"{acc:.4f}"
-            report["accuracy"] = repr(acc)
-        report["clamp_magnitude"] = repr(float(diag["clamp_magnitude"]))
-        report["rank_Z"] = diag["rank_z"]
+    # closing: a failed write or lambda cancels the queued lambda values and
+    # joins the running ones before main reports the error
+    with closing(cluster_sweep(points, args.method, ncut_cfg, lambdas, kernel_spec,
+                               admm_cfg)) as sweep:
+        for lam, (labels, coeffs, diag) in zip(lambdas, sweep):
+            acc_text = "-"
+            report = {
+                "method": args.method,
+                "lambda": repr(lam),
+                "iterations": diag["iterations"],
+                "converged": "true" if diag["converged"] else "false",
+            }
+            if truth is not None:
+                acc = accuracy(labels, truth).accuracy
+                acc_text = f"{acc:.4f}"
+                report["accuracy"] = repr(acc)
+            report["clamp_magnitude"] = repr(float(diag["clamp_magnitude"]))
+            report["rank_Z"] = diag["rank_z"]
 
-        out_dir = args.out if len(lambdas) == 1 else os.path.join(args.out, f"lam_{lam:g}")
-        save_results(out_dir, coeffs, labels, report)
+            out_dir = args.out if len(lambdas) == 1 else os.path.join(args.out, f"lam_{lam:g}")
+            save_results(out_dir, coeffs, labels, report)
 
-        if args.method == "glrr-21":
-            iter_text, conv_text = str(diag["iterations"]), report["converged"]
-        else:
-            iter_text, conv_text = "-", "-"
-        if lam == lambdas[0]:  # with the first row, so a setup error leaves stdout empty
-            print("method lambda iterations converged accuracy")
-        print(f"{args.method} {lam:g} {iter_text} {conv_text} {acc_text}")
+            if args.method == "glrr-21":
+                iter_text, conv_text = str(diag["iterations"]), report["converged"]
+            else:
+                iter_text, conv_text = "-", "-"
+            if lam == lambdas[0]:  # with the first row, so a setup error leaves stdout empty
+                print("method lambda iterations converged accuracy")
+            print(f"{args.method} {lam:g} {iter_text} {conv_text} {acc_text}")
     return 0
 
 

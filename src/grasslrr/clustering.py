@@ -19,10 +19,16 @@ restart on its own with direct squared differences (the oracle in
 ``tests/test_clustering.py``): seeding uses direct differences, and an
 assignment the GEMM's rounding could flip is redone with them.  Reruns with
 the same BLAS thread count are byte-identical.
+
+``cluster_sweep`` solves several lambda values at once, on threads, when the
+BLAS thread count leaves CPUs idle (``sweep_workers``), and still yields them
+in order; every lambda's result is the one a serial sweep gives.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
@@ -38,6 +44,10 @@ from .rng import SplitMix64
 METHODS = ("glrr-f", "glrr-21", "kglrr")
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the N x N float64 temporaries one lambda in flight may hold: tracemalloc peaks
+# were 5.8 N^2 doubles (glrr-f, N=500) and 13 N^2 (glrr-21, N=200), plus margin
+SWEEP_BYTES_PER_N2 = 16 * 8
 
 
 @dataclass(frozen=True)
@@ -275,7 +285,16 @@ def cluster_sweep(
     ``kernel_spec``), or ``glrr-f``, which is ``kglrr`` with the projection
     kernel (``kernel_spec`` ignored).  The Gram matrix, and for the closed
     forms its eigendecomposition, is built once; each lambda then yields
-    ``(labels, coeffs, diagnostics)`` as soon as it is solved.
+    ``(labels, coeffs, diagnostics)``, in the order of ``lambdas``.
+
+    Up to ``sweep_workers`` lambda values are solved at once on a sliding
+    window of threads; numpy's LAPACK, GEMM and ufunc calls release the GIL,
+    so a one-thread BLAS leaves the other CPUs to them.  Each lambda runs the
+    same arithmetic as it would alone, so the results do not depend on the
+    window.  A lambda's exception is raised at its turn, after every earlier
+    lambda has been yielded and before any later one.  Closing the generator,
+    or an exception, cancels the lambda values not yet started and waits for
+    the running ones, so no thread outlives the sweep.
     """
     if method not in METHODS:
         raise InvalidConfigError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -288,27 +307,87 @@ def cluster_sweep(
         raise InvalidConfigError(f"cannot split {n} points into {k} clusters")
 
     G = build_delta(points) if method == "glrr-21" else gram(points, kernel_spec)
-    for lam in lambdas:
-        if method == "glrr-21":
-            cfg = AdmmConfig(lam=lam) if admm_cfg is None else replace(admm_cfg, lam=lam)
-            coeffs, _ecoef, report = admm_solve(G, cfg)
-            s = report.z_singular_values
-            rank_z = int(np.sum(s > 1e-10 * (s[0] if s.size else 0.0)))
-            lam, iterations, converged, clamp = cfg.lam, report.iterations, report.converged, 0.0
-        else:
-            coeffs, report = glrr_f_solve(G, lam)
-            lam, iterations, converged = report.lam, 0, True
-            clamp, rank_z = report.clamp_magnitude, report.kept_count
-        labels = ncut(affinity_from_Z(coeffs), ncut_cfg)
-        yield labels, coeffs, dict(
-            method=method,
-            lam=lam,
-            solver_report=report,
-            iterations=iterations,
-            converged=converged,
-            clamp_magnitude=clamp,
-            rank_z=rank_z,
-        )
+    lambdas = list(lambdas)
+    workers = _system_workers(len(lambdas), n)
+    if workers == 1:
+        for lam in lambdas:
+            yield _solve_lambda(G, method, lam, ncut_cfg, admm_cfg)
+        return
+
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        # one lambda beyond the running ones is queued, so a thread that
+        # finishes starts on it while the caller still writes the oldest result
+        window = deque()
+        for lam in lambdas:
+            window.append(pool.submit(_solve_lambda, G, method, lam, ncut_cfg, admm_cfg))
+            if len(window) > workers:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _solve_lambda(G, method: str, lam: float, ncut_cfg: NcutConfig,
+                  admm_cfg: AdmmConfig | None) -> tuple[ClusterLabels, LowRankCoefficients, dict]:
+    """One lambda of ``cluster_sweep``: solve on the shared, read-only G, then affinity and ncut."""
+    if method == "glrr-21":
+        cfg = AdmmConfig(lam=lam) if admm_cfg is None else replace(admm_cfg, lam=lam)
+        coeffs, _ecoef, report = admm_solve(G, cfg)
+        s = report.z_singular_values
+        rank_z = int(np.sum(s > 1e-10 * (s[0] if s.size else 0.0)))
+        lam, iterations, converged, clamp = cfg.lam, report.iterations, report.converged, 0.0
+    else:
+        coeffs, report = glrr_f_solve(G, lam)
+        lam, iterations, converged = report.lam, 0, True
+        clamp, rank_z = report.clamp_magnitude, report.kept_count
+    labels = ncut(affinity_from_Z(coeffs), ncut_cfg)
+    return labels, coeffs, dict(
+        method=method,
+        lam=lam,
+        solver_report=report,
+        iterations=iterations,
+        converged=converged,
+        clamp_magnitude=clamp,
+        rank_z=rank_z,
+    )
+
+
+def sweep_workers(n_lambdas: int, n: int, cpus: int, environ, free_bytes: int | None) -> int:
+    """How many lambda values ``cluster_sweep`` solves at once.
+
+    Each lambda's BLAS calls use ``t`` threads, the largest positive integer
+    among ``BLAS_THREAD_VARS`` in ``environ`` (``cpus`` when none is set or
+    valid), so ``cpus // t`` lambda values fit on the CPUs.  Each lambda in
+    flight is allowed ``SWEEP_BYTES_PER_N2`` bytes per N^2 and all of them
+    together half of ``free_bytes``; an unknown ``free_bytes`` allows one.
+    Never more than ``n_lambdas``, never less than 1.
+    """
+    threads = []
+    for var in BLAS_THREAD_VARS:
+        try:
+            threads.append(int(environ.get(var, "")))
+        except ValueError:
+            pass
+    blas = max((t for t in threads if t > 0), default=cpus)
+    memory_cap = 0 if free_bytes is None else free_bytes // (2 * SWEEP_BYTES_PER_N2 * n * n)
+    return max(1, min(n_lambdas, cpus // blas, memory_cap))
+
+
+def _system_workers(n_lambdas: int, n: int) -> int:
+    """``sweep_workers`` from this process's CPU affinity, environment and free pages."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    try:
+        free_bytes = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        free_bytes = None
+    return sweep_workers(n_lambdas, n, cpus, os.environ, free_bytes)
 
 
 def cluster_pipeline(

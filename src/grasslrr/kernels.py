@@ -68,22 +68,6 @@ def k_projection(X1: GrassmannPoint, X2: GrassmannPoint) -> float:
     return float(np.sum(cross * cross))
 
 
-def k_cc(X1: GrassmannPoint, X2: GrassmannPoint, variant: str = "sum") -> float:
-    """Canonical-correlation kernel: largest cosine or sum of cosines."""
-    if variant not in ("max", "sum"):
-        raise InvalidConfigError(f"cc variant must be 'max' or 'sum', got {variant!r}")
-    cos = principal_angle_cosines(X1, X2)
-    return float(cos[0]) if variant == "max" else float(np.sum(cos))
-
-
-def k_ccp(X1: GrassmannPoint, X2: GrassmannPoint, alpha: float) -> float:
-    """alpha * summed-cosine kernel + (1 - alpha) * projection kernel."""
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise InvalidConfigError(f"ccp blend weight must be in (0,1), got {alpha}")
-    return alpha * k_cc(X1, X2, "sum") + (1.0 - alpha) * k_projection(X1, X2)
-
-
 def psd_clamp(K) -> tuple[np.ndarray, SymEig, float]:
     """Truncate negative eigenvalues to zero; the Frobenius-nearest PSD matrix.
 

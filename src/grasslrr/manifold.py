@@ -36,15 +36,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ThinSvd:
-    """Thin SVD M = U diag(S) V^T with S descending and a fixed sign convention."""
-
-    U: np.ndarray
-    S: np.ndarray
-    V: np.ndarray
-
-
-@dataclass(frozen=True)
 class SymEig:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
 
@@ -87,15 +78,6 @@ def canonical_signs(U: np.ndarray) -> np.ndarray:
     return np.where(top < 0.0, -1.0, 1.0)
 
 
-def thin_svd(M) -> ThinSvd:
-    """Thin SVD with descending singular values and canonical signs."""
-    M = as_matrix(M, "M")
-    U, S, Vt = np.linalg.svd(M, full_matrices=False)
-    signs = canonical_signs(U)
-    U, V = U * signs, Vt.T * signs
-    return ThinSvd(U=_frozen(U), S=_frozen(S), V=_frozen(V))
-
-
 def sym_eig(A) -> SymEig:
     """Eigendecomposition of a (nearly) symmetric matrix, descending order.
 
@@ -122,14 +104,13 @@ def orthonormalize(M, p: int) -> GrassmannPoint:
     d, q = M.shape
     if p < 1 or p > min(d, q):
         raise InvalidInputError(f"p={p} must lie in [1, min{M.shape}]")
-    svd = thin_svd(M)
-    cutoff = RANK_RTOL * svd.S[0]
-    rank = int(np.sum(svd.S > cutoff))
+    U, S, _ = np.linalg.svd(M, full_matrices=False)
+    rank = int(np.sum(S > RANK_RTOL * S[0]))
     if rank < p:
         raise RankDeficientError(
             f"numerical rank {rank} is below requested dimension {p}", achieved_rank=rank
         )
-    return GrassmannPoint(basis=svd.U[:, :p])
+    return GrassmannPoint(basis=(U * canonical_signs(U))[:, :p])
 
 
 def project_embed(X: GrassmannPoint) -> np.ndarray:
@@ -142,14 +123,3 @@ def check_same_shape(X1: GrassmannPoint, X2: GrassmannPoint) -> None:
         raise InvalidInputError(
             f"points live on different manifolds: ({X1.p},{X1.d}) vs ({X2.p},{X2.d})"
         )
-
-
-def grassmann_distance(X1: GrassmannPoint, X2: GrassmannPoint) -> float:
-    """Frobenius distance between the projection embeddings.
-
-    Computed as sqrt(2p - 2 ||X1^T X2||_F^2), which never forms a d x d matrix.
-    """
-    check_same_shape(X1, X2)
-    cross = X1.basis.T @ X2.basis
-    val = 2.0 * X1.p - 2.0 * float(np.sum(cross * cross))
-    return float(np.sqrt(max(val, 0.0)))

@@ -1,13 +1,21 @@
-"""From-scratch ADMM steps in the original coefficient coordinates, as test oracles.
+"""Test oracles: from-scratch forms of what the package computes in bulk.
 
-``admm_solve`` runs the same iteration in the Gram matrix's eigenbasis and
-reuses work across steps; these functions form every Gram product anew, so
-replaying them against the solver's tracked iterates checks the rewrite.
+``admm_solve`` runs the ADMM iteration in the Gram matrix's eigenbasis and
+reuses work across steps; ``e_step`` and ``z_step`` form every Gram product
+anew, so replaying them against the solver's tracked iterates checks the
+rewrite.  ``k_cc`` and ``k_ccp`` evaluate one kernel value per point pair,
+against which ``assemble_gram``'s batched rows are checked; ``thin_svd`` is
+the sign-canonical SVD ``orthonormalize`` takes its basis from, and
+``grassmann_distance`` the projection-embedding distance the fixtures'
+separations are checked with.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from grasslrr import svt
+from grasslrr import InvalidConfigError, k_projection, principal_angle_cosines, svt
+from grasslrr.manifold import as_matrix, canonical_signs, check_same_shape
 
 
 def e_step(Z: np.ndarray, Xicoef: np.ndarray, mu: float, delta: np.ndarray) -> np.ndarray:
@@ -44,3 +52,47 @@ def z_step(
     Dt = delta.T
     grad = mu * (delta @ Z) - mu * (Dt - Dt @ Ecoef + (Dt @ Xicoef) / mu)
     return svt(Z - grad / (eta * mu), lam / (eta * mu))
+
+
+def k_cc(X1, X2, variant: str = "sum") -> float:
+    """Canonical-correlation kernel: largest cosine or sum of cosines."""
+    if variant not in ("max", "sum"):
+        raise InvalidConfigError(f"cc variant must be 'max' or 'sum', got {variant!r}")
+    cos = principal_angle_cosines(X1, X2)
+    return float(cos[0]) if variant == "max" else float(np.sum(cos))
+
+
+def k_ccp(X1, X2, alpha: float) -> float:
+    """alpha * summed-cosine kernel + (1 - alpha) * projection kernel."""
+    alpha = float(alpha)
+    if not (0.0 < alpha < 1.0):
+        raise InvalidConfigError(f"ccp blend weight must be in (0,1), got {alpha}")
+    return alpha * k_cc(X1, X2, "sum") + (1.0 - alpha) * k_projection(X1, X2)
+
+
+@dataclass(frozen=True)
+class ThinSvd:
+    """Thin SVD M = U diag(S) V^T with S descending and a fixed sign convention."""
+
+    U: np.ndarray
+    S: np.ndarray
+    V: np.ndarray
+
+
+def thin_svd(M) -> ThinSvd:
+    """Thin SVD with descending singular values and canonical signs."""
+    M = as_matrix(M, "M")
+    U, S, Vt = np.linalg.svd(M, full_matrices=False)
+    signs = canonical_signs(U)
+    return ThinSvd(U=U * signs, S=S, V=Vt.T * signs)
+
+
+def grassmann_distance(X1, X2) -> float:
+    """Frobenius distance between the projection embeddings.
+
+    Computed as sqrt(2p - 2 ||X1^T X2||_F^2), which never forms a d x d matrix.
+    """
+    check_same_shape(X1, X2)
+    cross = X1.basis.T @ X2.basis
+    val = 2.0 * X1.p - 2.0 * float(np.sum(cross * cross))
+    return float(np.sqrt(max(val, 0.0)))

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import grasslrr
 
 from grasslrr import accuracy as lib_accuracy
-from grasslrr import ClusterLabels, read_labels, read_matrix
+from grasslrr import ClusterLabels, clustering, read_labels, read_matrix
 from grasslrr.cli import main
 from grasslrr.dataio import load_report
 from grasslrr.errors import NumericalDivergenceError
@@ -427,14 +428,21 @@ class TestConfigPrecedence:
         assert not (tmp_path / "o").exists()
 
 
+def force_workers(monkeypatch, count):
+    """Make every sweep solve ``count`` lambda values at once, whatever the machine."""
+    monkeypatch.setattr(clustering, "_system_workers", lambda n_lambdas, n: count)
+
+
 class TestSweepBuildsOnce:
-    """A λ sweep builds its Gram matrix, and any eigendecomposition of it, once."""
+    """A λ sweep builds its Gram matrix, and any eigendecomposition of it, once,
+    also with two λ values in flight."""
 
     @pytest.mark.parametrize("method, extra", [("glrr-f", []), ("kglrr", ["--kernel", "cc-sum"])])
     def test_closed_forms_one_gram_one_eigendecomposition(
         self, tmp_path, monkeypatch, method, extra
     ):
         data = run_synth(tmp_path, seed=37)
+        force_workers(monkeypatch, 2)
         grams = count_calls(monkeypatch, "kernels", "assemble_gram")
         eigs = count_calls(monkeypatch, "manifold", "sym_eig")
         code = main(["cluster", "--data", str(data), "--method", method,
@@ -448,6 +456,7 @@ class TestSweepBuildsOnce:
 
     def test_glrr_21_one_delta(self, tmp_path, monkeypatch):
         data = run_synth(tmp_path, seed=37)
+        force_workers(monkeypatch, 2)
         deltas = count_calls(monkeypatch, "closed_form", "build_delta")
         code = main(["cluster", "--data", str(data), "--method", "glrr-21",
                      "--lambda", "0.5,1", "--max-iters", "10", "--clusters", "4",
@@ -456,6 +465,50 @@ class TestSweepBuildsOnce:
         for lam in ("0.5", "1"):
             assert (tmp_path / "o" / f"lam_{lam}" / "Z.mat").exists()
         assert len(deltas) == 1
+
+
+class TestSweepFailure:
+    def test_failed_write_joins_the_sweep_before_the_error(self, tmp_path, monkeypatch,
+                                                           capsys):
+        data = run_synth(tmp_path, seed=37)
+        force_workers(monkeypatch, 2)
+        real = grasslrr.cli.save_results
+        writes = []
+
+        def failing_second(out_dir, *args):
+            writes.append(out_dir)
+            if len(writes) == 2:
+                raise OSError(f"{out_dir}: disk full")
+            return real(out_dir, *args)
+
+        class Stderr:
+            """Records the live thread count at each write of the error message."""
+
+            def __init__(self):
+                self.text, self.threads = "", []
+
+            def write(self, text):
+                self.text += text
+                self.threads.append(threading.active_count())
+
+        monkeypatch.setattr(grasslrr.cli, "save_results", failing_second)
+        capsys.readouterr()
+        before = threading.active_count()
+        stderr = Stderr()
+        monkeypatch.setattr(sys, "stderr", stderr)
+        code = main(["cluster", "--data", str(data), "--method", "glrr-f",
+                     "--lambda", "0.01,0.1,1,10", "--clusters", "4",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert stderr.text.startswith("error:") and "disk full" in stderr.text
+        # the sweep's threads are joined before the error is printed
+        assert stderr.threads and set(stderr.threads) == {before}
+        out = capsys.readouterr().out
+        assert out.splitlines() == ["method lambda iterations converged accuracy",
+                                    "glrr-f 0.01 - - -"]
+        assert (tmp_path / "o" / "lam_0.01" / "Z.mat").exists()
+        for lam in ("0.1", "1", "10"):
+            assert not (tmp_path / "o" / f"lam_{lam}").exists()
 
 
 class TestEvalCommand:
@@ -598,6 +651,28 @@ def test_cluster_run_loads_no_scipy(method, extra, tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 0 []"
 
 
+def test_one_lambda_run_starts_no_thread_pool(tmp_path):
+    # concurrent.futures is imported only for a sweep with several λ values in flight,
+    # so importing the CLI and a one-λ run, with BLAS threads to spare, stay without it
+    data = run_synth(tmp_path, seed=41)
+    argv = ["cluster", "--data", str(data), "--method", "glrr-f", "--lambda", "0.5",
+            "--clusters", "4", "--out", str(tmp_path / "o")]
+    script = (
+        "import sys\n"
+        "from grasslrr.cli import main\n"
+        "imported = 'concurrent.futures' in sys.modules\n"
+        f"code = main({argv!r})\n"
+        "print(code, imported, 'concurrent.futures' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(grasslrr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False False"
+
+
 PUBLIC_NAMES = {
     "AdmmConfig", "AdmmReport", "admm_solve", "dense_reference", "mu_update", "rho_rule", "svt",
     "ClosedFormReport", "LowRankCoefficients", "build_delta", "glrr_f_solve",
@@ -616,8 +691,8 @@ PUBLIC_NAMES = {
 
 
 def test_package_exports_exactly_the_public_names():
-    # pairwise oracles and result types are imported from their modules
-    # (grasslrr.admm.AdmmState, grasslrr.kernels.k_cc, ...)
+    # result types and helpers are imported from their modules
+    # (grasslrr.admm.AdmmState, grasslrr.kernels.psd_clamp, ...)
     exported = {name for name, value in vars(grasslrr).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
     assert len(PUBLIC_NAMES) == 51

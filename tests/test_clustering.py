@@ -1,5 +1,8 @@
 import dataclasses
 import itertools
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -527,6 +530,109 @@ class TestClusterSweep:
         for method, kwargs in (("glrr-x", {}), ("kglrr", {})):
             with pytest.raises(InvalidConfigError):
                 next(cluster_sweep(points, method, NcutConfig(n_clusters=2), [0.5], **kwargs))
+
+
+def force_workers(monkeypatch, count):
+    """Make every ``cluster_sweep`` solve ``count`` lambda values at once."""
+    monkeypatch.setattr(clustering, "_system_workers", lambda n_lambdas, n: count)
+
+
+class TestConcurrentSweep:
+    """Several lambda values in flight give the serial sweep's results, in order."""
+
+    @pytest.mark.parametrize("method, kwargs", SWEEP_CASES, ids=[c[0] for c in SWEEP_CASES])
+    @settings(derandomize=True, deadline=None, database=None, max_examples=6)
+    @given(lambdas=st.lists(st.sampled_from([0.05, 0.2, 0.5, 1.0, 2.0, 5.0]),
+                            min_size=1, max_size=5))
+    def test_any_worker_count_matches_serial(self, method, kwargs, lambdas):
+        points, _ = two_cluster_points(seed=6, per_cluster=6)
+        cfg = NcutConfig(n_clusters=2, seed=5)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads' Python steps finely
+        try:
+            for count in (1, 2, 3):
+                with pytest.MonkeyPatch.context() as mp:
+                    force_workers(mp, count)
+                    runs.append(list(cluster_sweep(points, method, cfg, lambdas, **kwargs)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [diag["lam"] for _, _, diag in runs[0]] == lambdas
+        for run in runs[1:]:
+            assert_bit_identical(run, runs[0])
+
+    def test_error_raised_at_its_turn(self, monkeypatch):
+        points, _ = two_cluster_points(seed=6, per_cluster=6)
+        real = clustering.glrr_f_solve
+        solver_threads = set()
+
+        def flaky(G, lam):
+            solver_threads.add(threading.get_ident())
+            if lam == 0.5:
+                raise InvalidInputError("lambda 0.5 fails")
+            if lam == 0.2:
+                time.sleep(0.2)  # still running when 0.5 has failed
+            return real(G, lam)
+
+        monkeypatch.setattr(clustering, "glrr_f_solve", flaky)
+        force_workers(monkeypatch, 2)
+        before = threading.active_count()
+        sweep = cluster_sweep(points, "glrr-f", NcutConfig(n_clusters=2), [0.05, 0.2, 0.5, 2.0])
+        yielded = []
+        with pytest.raises(InvalidInputError, match="lambda 0.5 fails"):
+            for _, _, diag in sweep:
+                yielded.append(diag["lam"])
+        assert yielded == [0.05, 0.2]
+        assert list(sweep) == []  # 2.0 is never yielded
+        sweep.close()
+        assert threading.active_count() == before
+        assert solver_threads and threading.get_ident() not in solver_threads
+
+    def test_close_joins_the_running_lambdas(self, monkeypatch):
+        points, _ = two_cluster_points(seed=6, per_cluster=6)
+        force_workers(monkeypatch, 2)
+        before = threading.active_count()
+        sweep = cluster_sweep(points, "glrr-f", NcutConfig(n_clusters=2), [0.05, 0.2, 0.5, 2.0])
+        next(sweep)
+        assert threading.active_count() > before
+        sweep.close()
+        assert threading.active_count() == before
+
+
+GiB = 1 << 30
+
+
+class TestSweepWorkers:
+    """The worker rule: CPUs left idle by the BLAS, capped by lambda count and free memory."""
+
+    @pytest.mark.parametrize("n_lambdas, cpus, environ, expected", [
+        (3, 4, {}, 1),
+        (3, 4, {"OPENBLAS_NUM_THREADS": "1"}, 3),
+        (4, 4, {"OPENBLAS_NUM_THREADS": "1"}, 4),
+        (8, 4, {"OPENBLAS_NUM_THREADS": "1"}, 4),
+        (3, 4, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 1),
+        (3, 4, {"MKL_NUM_THREADS": "2"}, 2),
+        (4, 4, {"OPENBLAS_NUM_THREADS": "2"}, 2),
+        (3, 4, {"OPENBLAS_NUM_THREADS": "8"}, 1),
+        (3, 4, {"OPENBLAS_NUM_THREADS": "x"}, 1),
+        (3, 4, {"OPENBLAS_NUM_THREADS": "0"}, 1),
+        (3, 4, {"OPENBLAS_NUM_THREADS": "-1"}, 1),
+        (3, 4, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 2),
+        (3, 4, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 3),
+        (1, 4, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+    ], ids=["unset", "one-thread", "every-cpu", "more-lambdas-than-cpus", "largest-wins",
+            "mkl", "two-threads", "more-threads-than-cpus", "non-numeric", "zero", "negative",
+            "invalid-beside-valid", "zero-beside-valid", "one-lambda"])
+    def test_rule(self, n_lambdas, cpus, environ, expected):
+        assert clustering.sweep_workers(n_lambdas, 500, cpus, environ, 8 * GiB) == expected
+
+    def test_free_memory_caps_the_count(self):
+        one = {"OPENBLAS_NUM_THREADS": "1"}
+        per_lambda = 16 * 8 * 500 * 500  # bytes allowed per lambda in flight at N = 500
+        assert clustering.sweep_workers(4, 500, 4, one, 2 * 3 * per_lambda) == 3
+        assert clustering.sweep_workers(4, 500, 4, one, 2 * 3 * per_lambda - 1) == 2
+        assert clustering.sweep_workers(4, 20000, 4, one, 8 * GiB) == 1
+        assert clustering.sweep_workers(4, 500, 4, one, None) == 1
 
 
 class TestClusterLabelsType:

@@ -13,7 +13,8 @@ from grasslrr import (
     principal_angle_cosines,
 )
 from grasslrr.closed_form import build_delta
-from grasslrr.kernels import k_cc, k_ccp, psd_clamp
+from grasslrr.kernels import psd_clamp
+from oracles import k_cc, k_ccp
 
 
 def random_point(rng, d, p):

@@ -9,7 +9,7 @@ from grasslrr import (
     project_embed,
     sym_eig,
 )
-from grasslrr.manifold import grassmann_distance, thin_svd
+from oracles import grassmann_distance, thin_svd
 
 
 def random_point(rng, d, p):
@@ -123,6 +123,8 @@ class TestOrthonormalize:
         np.testing.assert_allclose(point.basis.T @ point.basis, np.eye(3), atol=1e-10)
         U = np.linalg.svd(M, full_matrices=False)[0][:, :3]
         assert np.linalg.norm(point.basis @ point.basis.T - U @ U.T) <= 1e-8
+        # the basis is the sign-canonical SVD's leading columns, bit for bit
+        assert np.array_equal(point.basis, thin_svd(M).U[:, :3])
 
     def test_rank_deficiency_reports_rank(self):
         M = np.zeros((5, 3))
