@@ -52,7 +52,6 @@ from .kernels import (
     KernelMatrix,
     KernelSpec,
     gram,
-    k_projection,
     kernel_sqrt,
     principal_angle_cosines,
 )

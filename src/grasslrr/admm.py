@@ -16,17 +16,19 @@ O(N^2) no matter how large the ambient dimension;  ``dense_reference``
 re-runs the identical iteration on explicit d x d slices to validate the
 reformulation.
 
-The loop runs in the Gram matrix's eigenbasis.  One ``eigh`` per solve
-writes delta = Q Lambda Q^T and keeps the m eigenvalues above
-N eps lambda_max, so Q is N x m (m <= d(d+1)/2 for points of G(p, d)).  The
-loop tracks only the m x N coordinates Q^T Z, Q^T E and Q^T Xi: a product by
-delta is a row scaling by Lambda, and the slice norm of a coefficient column
-w is ||Lambda^{1/2} Q^T w||.  Z starts at zero and every SVT argument is Z
-plus delta times a matrix, so Z's columns stay in range(Q), and since
-SVT(Q A) = Q SVT(A) the SVT runs on the m x N coordinates A.  E and Xi are
-returned as the representatives with no component in delta's null space,
-which carries no slice.  Z = Q (Q^T Z), E and the final state are formed
-once, at return (every iteration under ``track_iterates``).
+The loop runs in the Gram matrix's eigenbasis, delta = Q Lambda Q^T, which a
+``KernelMatrix`` (``build_delta``, ``gram``) carries, so a lambda sweep
+decomposes delta once; a plain array gets one ``sym_eig``.  The solve keeps
+the m eigenvalues above N eps lambda_max, so Q is N x m (m <= d(d+1)/2 for
+points of G(p, d)).  The loop tracks only the m x N coordinates Q^T Z, Q^T E
+and Q^T Xi: a product by delta is a row scaling by Lambda, and the slice
+norm of a coefficient column w is ||Lambda^{1/2} Q^T w||.  Z starts at zero
+and every SVT argument is Z plus delta times a matrix, so Z's columns stay
+in range(Q), and since SVT(Q A) = Q SVT(A) the SVT runs on the m x N
+coordinates A.  E and Xi are returned as the representatives with no
+component in delta's null space, which carries no slice.  Z = Q (Q^T Z), E
+and the final state are formed once, at return (every iteration under
+``track_iterates``).
 
 An iteration costs one symmetric eigendecomposition of the min(m, N)-side
 Gram matrix of the SVT argument, two rank-r products that rebuild the
@@ -62,13 +64,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_form import DeltaMatrix, LowRankCoefficients
+from .closed_form import LowRankCoefficients
 from .errors import (
     InvalidConfigError,
     InvalidInputError,
     NumericalDivergenceError,
     OracleTooLargeError,
 )
+from .kernels import KernelMatrix, _spectrum
 from .manifold import GrassmannPoint, as_matrix, project_embed
 
 DENSE_GUARD = 2_000_000
@@ -237,24 +240,22 @@ def _gap(lam_d, QT, Zh, Xh, shrunk, lam: float) -> tuple[float, float, float]:
 
 
 def admm_solve(
-    delta: DeltaMatrix,
+    delta: KernelMatrix,
     config: AdmmConfig,
     track_iterates: bool = False,
 ) -> tuple[LowRankCoefficients, np.ndarray, AdmmReport]:
     """Run the coefficient-space ADMM to convergence or ``max_iters``.
 
-    Returns the coefficient matrix, the error coefficients (column i holds
-    the expansion of slice error E(i) over the embedded points, with no
-    component in delta's null space), and a report.  Non-convergence is
-    flagged, not raised; the iterate with the smallest primal residual is
-    returned in that case.
+    ``delta`` is a KernelMatrix, whose stored eigendecomposition is used, or
+    a symmetric array.  Returns the coefficient matrix, the error
+    coefficients (column i holds the expansion of slice error E(i) over the
+    embedded points, with no component in delta's null space), and a report.
+    Non-convergence is flagged, not raised; the iterate with the smallest
+    primal residual is returned in that case.
     """
-    D = as_matrix(delta.values if isinstance(delta, DeltaMatrix) else delta, "delta")
-    n = D.shape[0]
-    if D.shape[0] != D.shape[1]:
-        raise InvalidConfigError(f"delta must be square, got {D.shape}")
-
-    w, Q = np.linalg.eigh((D + D.T) / 2.0)
+    eig = _spectrum(delta)
+    w, Q = eig.eigenvalues[::-1], eig.eigenvectors[:, ::-1]  # ascending, as views
+    n = Q.shape[0]
     sigma_max = float(w[-1])
     eta = ETA_MARGIN * sigma_max if config.eta is None else float(config.eta)
     if not (eta > sigma_max):

@@ -10,7 +10,9 @@ Z = U diag(f(sigma)) U^T where f(sigma) = 1 - lam/sigma when sigma > lam and
 0 otherwise.  (Without the 1/2 the same rule would need lam/(2 sigma); the
 reported objective carries the 1/2 so the shrinkage rule is its exact
 minimizer.)  The same rule solves the kernelized variant for any PSD Gram
-matrix; glrr-f is the kernelized solve with the projection kernel.
+matrix; glrr-f is the kernelized solve with the projection kernel.  Every
+Gram matrix is a ``KernelMatrix``, whose stored eigendecomposition the solve
+reads; ``build_delta`` is the unrepaired projection-kernel one.
 """
 
 from __future__ import annotations
@@ -20,17 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError
-from .kernels import KernelMatrix, KernelSpec, assemble_gram
+from .kernels import KernelMatrix, KernelSpec, _spectrum, assemble_gram
 from .manifold import GrassmannPoint, sym_eig
 
 EIG_ZERO_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class DeltaMatrix:
-    """N x N Gram matrix of embedded points; PSD with diagonal equal to p."""
-
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -57,31 +52,28 @@ class ClosedFormReport:
     objective_value: float
     residual_sq: float
     nuclear_norm: float
-    clamp_magnitude: float = 0.0
 
 
-def build_delta(points: list[GrassmannPoint]) -> DeltaMatrix:
-    """Gram matrix of the embedded points: the unrepaired projection-kernel Gram matrix."""
-    delta = assemble_gram(points, KernelSpec(kind="projection"))
+def build_delta(points: list[GrassmannPoint]) -> KernelMatrix:
+    """Gram matrix of the embedded points: the unrepaired projection-kernel KernelMatrix."""
+    spec = KernelSpec(kind="projection")
+    delta = assemble_gram(points, spec)
     delta.setflags(write=False)
-    return DeltaMatrix(values=delta)
+    return KernelMatrix(values=delta, spec=spec, eig=sym_eig(delta))
 
 
 def glrr_f_solve(G, lam: float) -> tuple[LowRankCoefficients, ClosedFormReport]:
     """Spectral-shrinkage minimizer of the square-root-space objective.
 
-    ``G`` may be a DeltaMatrix, a KernelMatrix (whose stored eigendecomposition
-    is reused), or a plain symmetric PSD array (assumed already clamped).
+    ``G`` may be a KernelMatrix (whose stored eigendecomposition is reused)
+    or a plain symmetric PSD array (assumed already clamped).
     Eigenvalues below 1e-12 of the largest are treated as zero before the
     shrinkage rule is applied.
     """
     lam = float(lam)
     if not (0.0 < lam < np.inf):
         raise InvalidConfigError(f"lambda must be positive and finite, got {lam}")
-    if isinstance(G, KernelMatrix):
-        eig = G.eig
-    else:
-        eig = sym_eig(G.values if isinstance(G, DeltaMatrix) else G)
+    eig = _spectrum(G)
     sigma = eig.eigenvalues
     U = eig.eigenvectors
 
@@ -102,7 +94,6 @@ def glrr_f_solve(G, lam: float) -> tuple[LowRankCoefficients, ClosedFormReport]:
         objective_value=0.5 * residual_sq + lam * nuclear,
         residual_sq=residual_sq,
         nuclear_norm=nuclear,
-        clamp_magnitude=float(getattr(G, "clamp_magnitude", 0.0)),
     )
     Z.setflags(write=False)
     return LowRankCoefficients(Z=Z), report

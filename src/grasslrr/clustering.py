@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .admm import AdmmConfig, admm_solve
-from .closed_form import LowRankCoefficients, build_delta, glrr_f_solve
+from .closed_form import LowRankCoefficients, glrr_f_solve
 from .errors import InvalidConfigError, InvalidInputError
 from .kernels import KernelSpec, gram
 from .manifold import GrassmannPoint, as_matrix, canonical_signs
@@ -279,13 +279,13 @@ def cluster_sweep(
 ) -> Iterator[tuple[ClusterLabels, LowRankCoefficients, dict]]:
     """Solver -> affinity -> normalized cuts for each lambda, from one Gram matrix.
 
-    ``method`` selects the solver: ``glrr-21`` (ADMM with slice-wise l2/l1
-    error on ``build_delta``'s Gram matrix, ``admm_cfg`` with its lambda
-    replaced per run), ``kglrr`` (closed form on the kernel Gram matrix of
-    ``kernel_spec``), or ``glrr-f``, which is ``kglrr`` with the projection
-    kernel (``kernel_spec`` ignored).  The Gram matrix, and for the closed
-    forms its eigendecomposition, is built once; each lambda then yields
-    ``(labels, coeffs, diagnostics)``, in the order of ``lambdas``.
+    ``method`` selects the solver: ``kglrr`` (closed form on the kernel Gram
+    matrix of ``kernel_spec``), ``glrr-f``, which is ``kglrr`` with the
+    projection kernel, or ``glrr-21`` (ADMM with slice-wise l2/l1 error on
+    the projection kernel's Gram matrix, ``admm_cfg`` with its lambda
+    replaced per run); ``kernel_spec`` is read for kglrr only.  The Gram
+    matrix and its eigendecomposition are built once; each lambda then
+    yields ``(labels, coeffs, diagnostics)``, in the order of ``lambdas``.
 
     Up to ``sweep_workers`` lambda values are solved at once on a sliding
     window of threads; numpy's LAPACK, GEMM and ufunc calls release the GIL,
@@ -298,15 +298,15 @@ def cluster_sweep(
     """
     if method not in METHODS:
         raise InvalidConfigError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method == "glrr-f":
+    if method != "kglrr":
         kernel_spec = KernelSpec(kind="projection")
-    elif method == "kglrr" and kernel_spec is None:
+    elif kernel_spec is None:
         raise InvalidConfigError("kglrr requires a kernel spec")
     n, k = len(points), ncut_cfg.n_clusters
     if k > n:  # before the Gram matrix and any solve
         raise InvalidConfigError(f"cannot split {n} points into {k} clusters")
 
-    G = build_delta(points) if method == "glrr-21" else gram(points, kernel_spec)
+    G = gram(points, kernel_spec)
     lambdas = list(lambdas)
     workers = _system_workers(len(lambdas), n)
     if workers == 1:
@@ -339,11 +339,10 @@ def _solve_lambda(G, method: str, lam: float, ncut_cfg: NcutConfig,
         coeffs, _ecoef, report = admm_solve(G, cfg)
         s = report.z_singular_values
         rank_z = int(np.sum(s > 1e-10 * (s[0] if s.size else 0.0)))
-        lam, iterations, converged, clamp = cfg.lam, report.iterations, report.converged, 0.0
+        lam, iterations, converged = cfg.lam, report.iterations, report.converged
     else:
         coeffs, report = glrr_f_solve(G, lam)
-        lam, iterations, converged = report.lam, 0, True
-        clamp, rank_z = report.clamp_magnitude, report.kept_count
+        lam, iterations, converged, rank_z = report.lam, 0, True, report.kept_count
     labels = ncut(affinity_from_Z(coeffs), ncut_cfg)
     return labels, coeffs, dict(
         method=method,
@@ -351,7 +350,7 @@ def _solve_lambda(G, method: str, lam: float, ncut_cfg: NcutConfig,
         solver_report=report,
         iterations=iterations,
         converged=converged,
-        clamp_magnitude=clamp,
+        clamp_magnitude=G.clamp_magnitude,
         rank_z=rank_z,
     )
 

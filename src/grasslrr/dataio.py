@@ -404,10 +404,3 @@ def save_results(out_dir, Z, labels, report: dict) -> dict:
             fh.write(f"{key}={value}\n")
     return {"Z": z_path, "labels": labels_path, "report": report_path}
 
-
-def load_report(path) -> dict:
-    out = {}
-    for _, stripped in read_lines(path, "report file"):
-        key, _, value = stripped.partition("=")
-        out[key] = value
-    return out

@@ -6,7 +6,8 @@ and an affine blend of the summed-cosine and projection kernels.  Gram
 matrices are assembled row by row from one GEMM per row, symmetric by
 construction, and repaired to PSD by eigenvalue truncation when needed, with
 the repair magnitude recorded.  The eigendecomposition taken for the repair
-is kept with the matrix, so the closed-form solver needs no second one.
+is kept with the matrix, so neither solver needs a second one: ``_spectrum``
+is where they, and ``kernel_sqrt``, get it.
 """
 
 from __future__ import annotations
@@ -59,13 +60,6 @@ def principal_angle_cosines(X1: GrassmannPoint, X2: GrassmannPoint) -> np.ndarra
     out = np.clip(s, 0.0, 1.0)
     out.setflags(write=False)
     return out
-
-
-def k_projection(X1: GrassmannPoint, X2: GrassmannPoint) -> float:
-    """tr[(X2^T X1)(X1^T X2)] = ||X1^T X2||_F^2 from the p x p cross product."""
-    check_same_shape(X1, X2)
-    cross = X1.basis.T @ X2.basis
-    return float(np.sum(cross * cross))
 
 
 def psd_clamp(K) -> tuple[np.ndarray, SymEig, float]:
@@ -129,10 +123,14 @@ def gram(points: list[GrassmannPoint], spec: KernelSpec) -> KernelMatrix:
     return KernelMatrix(values=values, spec=spec, eig=eig, clamp_magnitude=magnitude)
 
 
+def _spectrum(G) -> SymEig:
+    """The eigendecomposition a KernelMatrix carries, or ``sym_eig`` of a symmetric array."""
+    return G.eig if isinstance(G, KernelMatrix) else sym_eig(G)
+
+
 def kernel_sqrt(K) -> np.ndarray:
     """Symmetric PSD square root U D^{1/2} U^T of a (post-clamp) kernel matrix."""
-    values = K.values if isinstance(K, KernelMatrix) else as_matrix(K, "K")
-    eig = sym_eig(values)
+    eig = _spectrum(K)
     roots = np.sqrt(np.maximum(eig.eigenvalues, 0.0))
     V = eig.eigenvectors
     S = (V * roots) @ V.T

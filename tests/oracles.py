@@ -3,18 +3,20 @@
 ``admm_solve`` runs the ADMM iteration in the Gram matrix's eigenbasis and
 reuses work across steps; ``e_step`` and ``z_step`` form every Gram product
 anew, so replaying them against the solver's tracked iterates checks the
-rewrite.  ``k_cc`` and ``k_ccp`` evaluate one kernel value per point pair,
-against which ``assemble_gram``'s batched rows are checked; ``thin_svd`` is
-the sign-canonical SVD ``orthonormalize`` takes its basis from, and
-``grassmann_distance`` the projection-embedding distance the fixtures'
-separations are checked with.
+rewrite.  ``k_projection``, ``k_cc`` and ``k_ccp`` evaluate one kernel value
+per point pair, against which ``assemble_gram``'s batched rows are checked;
+``thin_svd`` is the sign-canonical SVD ``orthonormalize`` takes its basis
+from, and ``grassmann_distance`` the projection-embedding distance the
+fixtures' separations are checked with.  ``load_report`` reads back the
+key=value ``report.txt`` that ``save_results`` writes.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from grasslrr import InvalidConfigError, k_projection, principal_angle_cosines, svt
+from grasslrr import InvalidConfigError, principal_angle_cosines, svt
+from grasslrr.dataio import read_lines
 from grasslrr.manifold import as_matrix, canonical_signs, check_same_shape
 
 
@@ -52,6 +54,13 @@ def z_step(
     Dt = delta.T
     grad = mu * (delta @ Z) - mu * (Dt - Dt @ Ecoef + (Dt @ Xicoef) / mu)
     return svt(Z - grad / (eta * mu), lam / (eta * mu))
+
+
+def k_projection(X1, X2) -> float:
+    """tr[(X2^T X1)(X1^T X2)] = ||X1^T X2||_F^2 from the p x p cross product."""
+    check_same_shape(X1, X2)
+    cross = X1.basis.T @ X2.basis
+    return float(np.sum(cross * cross))
 
 
 def k_cc(X1, X2, variant: str = "sum") -> float:
@@ -96,3 +105,12 @@ def grassmann_distance(X1, X2) -> float:
     cross = X1.basis.T @ X2.basis
     val = 2.0 * X1.p - 2.0 * float(np.sum(cross * cross))
     return float(np.sqrt(max(val, 0.0)))
+
+
+def load_report(path) -> dict:
+    """key -> value of each line of a report.txt, values as written."""
+    out = {}
+    for _, stripped in read_lines(path, "report file"):
+        key, _, value = stripped.partition("=")
+        out[key] = value
+    return out

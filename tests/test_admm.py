@@ -43,14 +43,9 @@ def eigh_failure(*args, **kwargs):
 
 
 def fail_svt_eigh(monkeypatch):
-    # a solve's first eigh decomposes the Gram matrix; every later one is an SVT's
-    real, calls = np.linalg.eigh, []
-
-    def eigh(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs) if len(calls) == 1 else eigh_failure()
-
-    monkeypatch.setattr("numpy.linalg.eigh", eigh)
+    # the Gram matrix is decomposed when it is built, so every eigh a solve
+    # then runs is an SVT's
+    monkeypatch.setattr("numpy.linalg.eigh", eigh_failure)
 
 
 class TestSvt:
@@ -576,12 +571,13 @@ class TestIterationCost:
     def test_one_svd_per_iteration(self, monkeypatch):
         # the SVT threshold is above the eigh path's precision guard on this
         # instance, so each iteration's SVT is one eigh of the Gram side, no
-        # SVD; one more eigh per solve decomposes the Gram matrix, and the one
-        # eigvalsh is the dual bound's spectral norm
-        delta = build_delta(random_points(22, 10, 12, 2))
+        # SVD; one more eigh decomposes the Gram matrix as it is built, and the
+        # one eigvalsh is the dual bound's spectral norm
+        points = random_points(22, 10, 12, 2)
         svd_calls = self.count_svd_calls(monkeypatch)
         eigh_calls = self.count_svd_calls(monkeypatch, "eigh")
         eigvalsh_calls = self.count_svd_calls(monkeypatch, "eigvalsh")
+        delta = build_delta(points)
         _, _, report = admm_solve(delta, AdmmConfig(lam=0.5, max_iters=40))
         assert report.iterations == 40
         assert len(eigh_calls) == report.iterations + 1

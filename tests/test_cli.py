@@ -14,8 +14,8 @@ import grasslrr
 from grasslrr import accuracy as lib_accuracy
 from grasslrr import ClusterLabels, clustering, read_labels, read_matrix
 from grasslrr.cli import main
-from grasslrr.dataio import load_report
 from grasslrr.errors import NumericalDivergenceError
+from oracles import load_report
 
 
 def run_synth(tmp_path, seed=7, sigma="0.05"):
@@ -434,37 +434,28 @@ def force_workers(monkeypatch, count):
 
 
 class TestSweepBuildsOnce:
-    """A λ sweep builds its Gram matrix, and any eigendecomposition of it, once,
-    also with two λ values in flight."""
+    """A λ sweep builds its Gram matrix and its eigendecomposition once, for every
+    method, also with two λ values in flight."""
 
-    @pytest.mark.parametrize("method, extra", [("glrr-f", []), ("kglrr", ["--kernel", "cc-sum"])])
-    def test_closed_forms_one_gram_one_eigendecomposition(
-        self, tmp_path, monkeypatch, method, extra
-    ):
+    @pytest.mark.parametrize("method, lambdas, extra", [
+        ("glrr-f", "0.1,0.5,1", []),
+        ("kglrr", "0.1,0.5,1", ["--kernel", "cc-sum"]),
+        ("glrr-21", "0.5,1", ["--max-iters", "10"]),
+    ], ids=["glrr-f", "kglrr", "glrr-21"])
+    def test_one_gram_one_eigendecomposition(self, tmp_path, monkeypatch, method, lambdas,
+                                             extra):
         data = run_synth(tmp_path, seed=37)
         force_workers(monkeypatch, 2)
         grams = count_calls(monkeypatch, "kernels", "assemble_gram")
         eigs = count_calls(monkeypatch, "manifold", "sym_eig")
         code = main(["cluster", "--data", str(data), "--method", method,
-                     "--lambda", "0.1,0.5,1", "--clusters", "4",
+                     "--lambda", lambdas, "--clusters", "4",
                      "--out", str(tmp_path / "o")] + extra)
         assert code == 0
-        for lam in ("0.1", "0.5", "1"):
+        for lam in lambdas.split(","):
             assert (tmp_path / "o" / f"lam_{lam}" / "Z.mat").exists()
         assert len(grams) == 1
         assert len(eigs) == 1
-
-    def test_glrr_21_one_delta(self, tmp_path, monkeypatch):
-        data = run_synth(tmp_path, seed=37)
-        force_workers(monkeypatch, 2)
-        deltas = count_calls(monkeypatch, "closed_form", "build_delta")
-        code = main(["cluster", "--data", str(data), "--method", "glrr-21",
-                     "--lambda", "0.5,1", "--max-iters", "10", "--clusters", "4",
-                     "--out", str(tmp_path / "o")])
-        assert code == 0
-        for lam in ("0.5", "1"):
-            assert (tmp_path / "o" / f"lam_{lam}" / "Z.mat").exists()
-        assert len(deltas) == 1
 
 
 class TestSweepFailure:
@@ -683,7 +674,7 @@ PUBLIC_NAMES = {
     "GrassLrrError", "InfeasibleSpecError", "InvalidConfigError", "InvalidInputError",
     "NumericalDivergenceError", "OracleTooLargeError", "RankDeficientError",
     "accuracy", "hungarian",
-    "KernelMatrix", "KernelSpec", "gram", "k_projection", "kernel_sqrt",
+    "KernelMatrix", "KernelSpec", "gram", "kernel_sqrt",
     "principal_angle_cosines",
     "GrassmannPoint", "SymEig", "orthonormalize", "project_embed", "sym_eig",
     "SplitMix64",
@@ -695,7 +686,7 @@ def test_package_exports_exactly_the_public_names():
     # (grasslrr.admm.AdmmState, grasslrr.kernels.psd_clamp, ...)
     exported = {name for name, value in vars(grasslrr).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
-    assert len(PUBLIC_NAMES) == 51
+    assert len(PUBLIC_NAMES) == 50
     assert exported == PUBLIC_NAMES
 
 

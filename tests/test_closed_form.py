@@ -5,7 +5,9 @@ from grasslrr import (
     InvalidConfigError,
     InvalidInputError,
     KernelSpec,
+    NcutConfig,
     build_delta,
+    cluster_pipeline,
     glrr_f_solve,
     gram,
     kernel_sqrt,
@@ -225,13 +227,17 @@ class TestKglrrSolve:
         rng = np.random.default_rng(16)
         points = [random_point(rng, 5, 2) for _ in range(9)]
         for kind in ("cc-max", "cc-sum", "ccp"):
-            K = gram(points, KernelSpec(kind=kind, alpha=0.5 if kind == "ccp" else None))
+            spec = KernelSpec(kind=kind, alpha=0.5 if kind == "ccp" else None)
+            K = gram(points, spec)
             assert K.clamp_magnitude > 0.0
             Zk, rep_k = glrr_f_solve(K, 0.3)
             Zf, rep_f = glrr_f_solve(np.array(K.values), 0.3)
             assert np.max(np.abs(Zk.Z - Zf.Z)) <= 1e-10
             assert rep_k.kept_count == rep_f.kept_count
-            assert rep_k.clamp_magnitude == K.clamp_magnitude > 0.0
+            _, Zs, diag = cluster_pipeline(points, "kglrr", NcutConfig(n_clusters=2), lam=0.3,
+                                           kernel_spec=spec)
+            assert np.array_equal(Zs.Z, Zk.Z)
+            assert diag["clamp_magnitude"] == K.clamp_magnitude > 0.0
 
     def test_ccp_solution_spectrum(self):
         rng = np.random.default_rng(13)

@@ -11,7 +11,6 @@ from grasslrr import (
     SynthSpec,
     accuracy,
     build_point,
-    k_projection,
     load_dataset,
     load_manifest,
     orthonormalize,
@@ -22,10 +21,9 @@ from grasslrr import (
     write_labels,
     write_matrix,
 )
-from grasslrr.dataio import load_report
 from grasslrr.kernels import principal_angle_cosines
 from grasslrr.rng import SplitMix64, mix64
-from oracles import grassmann_distance
+from oracles import grassmann_distance, k_projection, load_report
 
 
 class TestMatrixRoundTrip:

@@ -7,14 +7,13 @@ from grasslrr import (
     InvalidInputError,
     KernelSpec,
     gram,
-    k_projection,
     kernel_sqrt,
     orthonormalize,
     principal_angle_cosines,
 )
 from grasslrr.closed_form import build_delta
 from grasslrr.kernels import psd_clamp
-from oracles import k_cc, k_ccp
+from oracles import k_cc, k_ccp, k_projection
 
 
 def random_point(rng, d, p):
