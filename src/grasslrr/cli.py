@@ -17,7 +17,7 @@ from dataclasses import fields
 import numpy as np
 
 from .admm import AdmmConfig
-from .clustering import METHODS, ClusterLabels, NcutConfig, cluster_sweep
+from .clustering import METHODS, ClusterLabels, NcutConfig, check_memory, cluster_sweep, page_bytes
 from .dataio import (
     Manifest,
     SynthSpec,
@@ -153,6 +153,7 @@ def _load_points(args) -> list:
     if os.path.isdir(manifest_path):
         manifest_path = os.path.join(manifest_path, "manifest.txt")
     manifest: Manifest = load_manifest(manifest_path)
+    check_memory(len(manifest.entries), page_bytes("SC_PHYS_PAGES"))  # before any matrix file
     sets = load_dataset(manifest)
     if not sets:
         raise InvalidInputError(f"{manifest_path}: manifest lists no data")

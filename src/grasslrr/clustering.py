@@ -48,6 +48,8 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 # the N x N float64 temporaries one lambda in flight may hold: tracemalloc peaks
 # were 5.8 N^2 doubles (glrr-f, N=500) and 13 N^2 (glrr-21, N=200), plus margin
 SWEEP_BYTES_PER_N2 = 16 * 8
+# the N x N Gram matrix and its eigenvectors, which every method holds for the whole run
+GRAM_BYTES_PER_N2 = 2 * 8
 
 
 @dataclass(frozen=True)
@@ -382,11 +384,29 @@ def _system_workers(n_lambdas: int, n: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         cpus = os.cpu_count() or 1
+    return sweep_workers(n_lambdas, n, cpus, os.environ, page_bytes("SC_AVPHYS_PAGES"))
+
+
+def page_bytes(pages: str) -> int | None:
+    """``os.sysconf(pages)`` pages in bytes, or None where sysconf lacks the names."""
     try:
-        free_bytes = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        return os.sysconf(pages) * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
-        free_bytes = None
-    return sweep_workers(n_lambdas, n, cpus, os.environ, free_bytes)
+        return None
+
+
+def check_memory(n: int, phys_bytes: int | None) -> None:
+    """Refuse ``n`` points whose Gram matrix and eigenvectors alone exceed ``phys_bytes``.
+
+    ``GRAM_BYTES_PER_N2`` bytes per N^2 are a lower bound on any run's peak,
+    so no run that fits is refused; an unknown ``phys_bytes`` refuses none.
+    """
+    need = GRAM_BYTES_PER_N2 * n * n
+    if phys_bytes is not None and need > phys_bytes:
+        raise InvalidInputError(
+            f"N={n} points need at least {need} bytes for the Gram matrix and its "
+            f"eigenvectors; physical memory is {phys_bytes} bytes"
+        )
 
 
 def cluster_pipeline(

@@ -3,10 +3,10 @@
 Matrix files carry a "<rows> <cols>" header followed by one line per row;
 values are written as lowercase hexadecimal floats (``float.hex``) so a
 write/read round trip is bit-exact, while plain decimals in ``float()``
-syntax are accepted on read.  Both directions work on blocks of rows: the
-writer formats them from the float64 bit fields, and the reader converts a
-decimal block with one numpy call, keeping the per-token parser for hex
-tokens and for the positioned error messages.  Manifests hold one
+syntax are accepted on read.  The writer formats blocks of rows from the
+float64 bit fields; the reader converts a whole file of either form in one
+bulk pass, keeping the per-token parser for files mixing the two and for
+the positioned error messages.  Manifests hold one
 "<relative-path><TAB><label>" entry per line and ``#`` comments; like every
 text input they are read through ``read_lines``.
 """
@@ -26,6 +26,7 @@ from .manifold import GrassmannPoint, as_matrix, orthonormalize
 from .rng import SplitMix64
 
 MAX_CENTER_REDRAWS = 1000
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ _HEX_PAIRS = _HEX_DIGITS[np.arange(256)[:, None] >> np.array([4, 0]) & 15]  # oc
 _ZERO_FIELD = 2047  # the inf/nan exponent never reaches the writer; zeros borrow its row
 _SUFFIX_WIDTH = 6  # "p-1022"
 _CELL_WIDTH = 1 + 4 + 13 + _SUFFIX_WIDTH + 1  # sign, lead, nibbles, suffix, separator
-_BLOCK_VALUES = 1 << 15  # values per block, written or parsed: a few MB of temporaries
+_BLOCK_VALUES = 1 << 15  # values per block, written: a few MB of temporaries
 
 
 def _exponent_suffixes() -> np.ndarray:
@@ -184,50 +185,30 @@ def _parse_rows(path, cols, body) -> np.ndarray:
     return np.array(values, dtype=np.float64).reshape(len(body), cols)
 
 
-def _parse_decimal(texts, cols):
-    """Decimal rows converted by numpy a block at a time, or None to defer to ``_parse_rows``.
+def _parse_bulk(texts, cols):
+    """Every token converted in one pass, or None to defer to ``_parse_rows``.
 
-    numpy converts each str token with float(), so values and accepted
-    syntax are the per-token parser's; whatever it rejects, a row of the
-    wrong length and any non-finite value are left to the per-token parser
-    and its positioned message.
-    """
-    blocks = []
-    step = _block_rows(cols)
-    for start in range(0, len(texts), step):
-        chunk = texts[start : start + step]
-        try:
-            block = np.array([ln.split() for ln in chunk], dtype=np.float64)
-        except ValueError:
-            return None
-        if block.shape != (len(chunk), cols) or not np.isfinite(block).all():
-            return None
-        blocks.append(block)
-    return np.concatenate(blocks)
-
-
-def _parse_hex(texts, cols):
-    """Hex rows converted by one ``float.fromhex`` pass, or None to defer to ``_parse_rows``.
-
-    Only a file whose every token holds an 'x' is taken: ``fromhex`` would
-    read a bare decimal as hex, and it rejects a second 'x', so the file's
-    count of them settles it.  Values are then the per-token parser's;
-    whatever ``fromhex`` rejects or overflows, a row of the wrong length and
-    any non-finite value are left to the per-token parser and its positioned
-    message.
+    ``float.fromhex`` would read a bare decimal as hex and rejects a second
+    'x', so a file's count of them picks the converter: ``float`` when it is
+    0, ``float.fromhex`` when it equals the token count.  Values are then the
+    per-token parser's; a file mixing both forms, whatever the converter
+    rejects or overflows, a row of the wrong length and any non-finite value
+    are left to the per-token parser and its positioned message.
     """
     rows = list(map(str.split, texts))
     joined = "".join(texts)
-    if set(map(len, rows)) != {cols} or joined.count("x") + joined.count("X") != len(rows) * cols:
+    marks, count = joined.count("x") + joined.count("X"), len(rows) * cols
+    if set(map(len, rows)) != {cols} or marks not in (0, count):
         return None
     try:
-        values = np.fromiter(map(float.fromhex, itertools.chain.from_iterable(rows)),
-                             dtype=np.float64, count=len(rows) * cols)
+        values = np.fromiter(map(float.fromhex if marks else float,
+                                 itertools.chain.from_iterable(rows)),
+                             dtype=np.float64, count=count)
     except (ValueError, OverflowError):
         return None
     if not np.isfinite(values).all():
         return None
-    return values.reshape(len(texts), cols)
+    return values.reshape(len(rows), cols)
 
 
 def read_matrix(path) -> np.ndarray:
@@ -247,10 +228,7 @@ def read_matrix(path) -> np.ndarray:
     body = lines[1:]
     if len(body) != rows:
         raise InvalidInputError(f"{path}: header promises {rows} rows but file has {len(body)}")
-    texts = [ln for _, ln in body]
-    joined = "".join(texts)
-    hexed = "x" in joined or "X" in joined
-    M = (_parse_hex if hexed else _parse_decimal)(texts, cols)
+    M = _parse_bulk([ln for _, ln in body], cols)
     return M if M is not None else _parse_rows(path, cols, body)
 
 
@@ -383,11 +361,14 @@ def read_labels(path) -> np.ndarray:
     values = []
     for line_no, stripped in read_lines(path, "labels file"):
         try:
-            values.append(int(stripped))
+            value = int(stripped)
         except ValueError:
             raise InvalidInputError(
                 f"{path}: line {line_no} is not an integer: {stripped!r}"
             ) from None
+        if not _INT64.min <= value <= _INT64.max:
+            raise InvalidInputError(f"{path}: line {line_no} label {stripped!r} is outside int64")
+        values.append(value)
     return np.asarray(values, dtype=np.int64)
 
 

@@ -562,11 +562,13 @@ MALFORMED_INPUTS = {
     "truth-non-numeric": ("truth", b"0\nB\n", "line 2"),
     "truth-nan": ("truth", b"nan\n", "line 1"),
     "truth-short": ("truth", b"0\n1\n", "2 labels"),
+    "truth-outside-int64": ("truth", b"0\n99999999999999999999\n", "line 2 label"),
     "pred-non-utf8": ("pred", b"\xff\n", "line 1"),
     "pred-bom-then-non-utf8": ("pred", b"\xef\xbb\xbf\xff\n", "line 1"),
     "pred-non-numeric": ("pred", b"0\n0.5\n", "line 2"),
     "pred-inf": ("pred", b"0\ninf\n", "line 2"),
     "pred-short": ("pred", b"0\n", "length"),
+    "pred-outside-int64": ("pred", b"0\n-9223372036854775809\n", "line 2 label"),
     "config-non-utf8": ("config", b"seed=1\nrestarts=\xff\n", "line 2"),
     "config-non-utf8-cr-only": ("config", b"seed=1\rrestarts=\xff\r", "line 2"),
     "config-unknown-key": ("config", b"wibble=1\n", "line 1"),
@@ -792,6 +794,32 @@ def test_missing_input_file_is_exit_2(argv, expected, small_dataset, tmp_path, c
     assert code == 2
     assert out == ""
     assert err == f"error: {expected.format(tmp=tmp_path, data=data)}\n"
+
+
+@pytest.mark.parametrize("phys, expected", [
+    (1 << 30, "N=10000 points need at least 1600000000 bytes for the Gram matrix and its "
+              "eigenvectors; physical memory is 1073741824 bytes"),
+    (2 * 8 * 10000**2, "dataset file not found: {data}/points/point_00000.mat"),
+    (None, "dataset file not found: {data}/points/point_00000.mat"),
+], ids=["too-small", "just-fits", "unknown"])
+def test_memory_floor_before_any_matrix_file(phys, expected, tmp_path, monkeypatch, capsys):
+    # the page probe is patched, so nothing near the refused size is allocated;
+    # the manifest's files do not exist, so reading any of them would fail
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "manifest.txt").write_text(
+        "".join(f"points/point_{i:05d}.mat\t{i % 2}\n" for i in range(10000)))
+    probed = []
+    monkeypatch.setattr("grasslrr.cli.page_bytes", lambda pages: probed.append(pages) or phys)
+    capsys.readouterr()
+    code = main(["cluster", "--data", str(data), "--method", "glrr-f", "--lambda", "1",
+                 "--clusters", "2", "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert probed == ["SC_PHYS_PAGES"]
+    assert out == ""
+    assert err == f"error: {expected.format(data=data)}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_eval_empty_label_files_is_exit_2(tmp_path, capsys):

@@ -635,6 +635,38 @@ class TestSweepWorkers:
         assert clustering.sweep_workers(4, 500, 4, one, None) == 1
 
 
+class TestCheckMemory:
+    """The memory floor: the N x N Gram matrix and its eigenvectors against physical memory."""
+
+    def test_floor(self):
+        need = 2 * 8 * 500 * 500
+        clustering.check_memory(500, need)
+        with pytest.raises(InvalidInputError) as err:
+            clustering.check_memory(500, need - 1)
+        assert str(err.value) == (
+            f"N=500 points need at least {need} bytes for the Gram matrix and its "
+            f"eigenvectors; physical memory is {need - 1} bytes"
+        )
+        with pytest.raises(InvalidInputError, match="N=40000 points need at least 25600000000"):
+            clustering.check_memory(40000, 16 * GiB)
+        clustering.check_memory(40000, 32 * GiB)
+        clustering.check_memory(0, 0)
+        clustering.check_memory(10**9, None)  # sysconf lacks the names: nothing is refused
+
+    def test_page_probe(self, monkeypatch):
+        pages = {"SC_PHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(clustering.os, "sysconf", pages.__getitem__)
+        assert clustering.page_bytes("SC_PHYS_PAGES") == 4096 * 1000
+
+        def unknown(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(clustering.os, "sysconf", unknown)
+        assert clustering.page_bytes("SC_PHYS_PAGES") is None
+        monkeypatch.delattr(clustering.os, "sysconf")
+        assert clustering.page_bytes("SC_AVPHYS_PAGES") is None
+
+
 class TestClusterLabelsType:
     def test_validation(self):
         with pytest.raises(Exception):

@@ -334,6 +334,14 @@ class TestResults:
         path.write_text("0\n1\nx\n")
         with pytest.raises(InvalidInputError):
             read_labels(path)
+        # int64's bounds are labels; one past either is a positioned input error
+        path.write_text(f"{-2**63}\n{2**63 - 1}\n")
+        assert read_labels(path).tolist() == [-2**63, 2**63 - 1]
+        for label in (2**63, -2**63 - 1, 99999999999999999999):
+            path.write_text(f"0\n\n{label}\n")
+            with pytest.raises(InvalidInputError) as err:
+                read_labels(path)
+            assert str(err.value) == f"{path}: line 3 label '{label}' is outside int64"
 
     def test_labels_with_byte_order_mark(self, tmp_path):
         path = tmp_path / "labels.txt"

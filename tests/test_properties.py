@@ -161,8 +161,8 @@ def test_decimal_fast_path_values_are_float(M, style):
 
 @pytest.mark.parametrize("shape", block_edge_shapes(), ids=lambda s: f"{s[0]}x{s[1]}")
 def test_decimal_blocks_keep_every_row(shape):
-    # decimal files are converted in the writer's row blocks; a non-finite
-    # value in the last block still gets the per-token message
+    # shapes at the edges of the writer's row blocks: every row of a decimal
+    # file is read, and a non-finite value in the last row gets the per-token message
     M = np.random.default_rng(shape[0]).standard_normal(shape)
     lines = [f"{shape[0]} {shape[1]}"] + [" ".join(map(repr, row)) for row in M.tolist()]
     with tempfile.TemporaryDirectory() as tmp:
@@ -229,6 +229,8 @@ HEX_FORMATS = {
     "upper": lambda v: float.hex(v).upper(),
     # trailing zeros of the fraction dropped: 0x1.8p+1, 0x1p+0, 0x0p+0
     "short": lambda v: re.sub(r"\.?0+p", "p", float.hex(v)),
+    # a file counting both letters: negative values as 0X..., the rest as 0x...
+    "mixed-case": lambda v: float.hex(v).upper() if v < 0 else float.hex(v),
 }
 
 
@@ -250,28 +252,38 @@ def test_hex_fast_path_matches_per_token_parse(M, style):
 @PROPERTY
 @given(
     finite_matrices,
-    st.sampled_from(["decimal", "nan", "overflow", "bad", "two-x", "x-moved", "ragged", "wide"]),
+    st.sampled_from(["hex", "decimal"]),
+    st.sampled_from(["mixed", "nan", "overflow", "bad", "two-x", "x-moved", "ragged", "wide"]),
     st.integers(0, 4),
 )
-@example(np.array([[1.0, 2.0], [3.0, 4.0]]), "ragged", 0)  # rows of 3 and 1 under "2 2"
-@example(np.array([[10.0, 2.0]]), "decimal", 0)  # float.fromhex("10.0") is 16.0
-@example(np.array([[10.0, 2.0]]), "x-moved", 0)  # '0x0x1' and a bare '2.0'
-def test_hex_defects_give_per_token_outcome(M, defect, col):
+@example(np.array([[1.0, 2.0], [3.0, 4.0]]), "hex", "ragged", 0)  # rows of 3 and 1 under "2 2"
+@example(np.array([[1.0, 2.0], [3.0, 4.0]]), "decimal", "ragged", 0)
+@example(np.array([[10.0, 2.0]]), "hex", "mixed", 0)  # float.fromhex("10.0") is 16.0
+@example(np.array([[10.0, 2.0]]), "decimal", "mixed", 1)  # one hex token among decimals
+@example(np.array([[10.0, 2.0]]), "hex", "x-moved", 0)  # '0x0x1' and a bare '2.0'
+@example(np.array([[1.0, -2.5]]), "hex", "wide", 0)
+@example(np.array([[1.0, -2.5]]), "decimal", "wide", 0)
+@example(np.array([[1.0, -2.5]]), "decimal", "nan", 0)
+@example(np.array([[1.0, -2.5]]), "decimal", "overflow", 1)
+@example(np.array([[1.0, -2.5]]), "decimal", "bad", 1)
+def test_hex_defects_give_per_token_outcome(M, form, defect, col):
+    # each defect in a file of either form gets the per-token parser's outcome
     rows, cols = M.shape
     col %= cols
     values = M.tolist()
-    tokens = [[float.hex(v) for v in row] for row in values]
-    if defect == "decimal":  # a valid mixed file: float() reads the bare token
-        tokens[-1][col] = repr(values[-1][col])
+    render, other = (float.hex, repr) if form == "hex" else (repr, float.hex)
+    tokens = [[render(v) for v in row] for row in values]
+    if defect == "mixed":  # a valid file holding both forms: each token is read as its own
+        tokens[-1][col] = other(values[-1][col])
     elif defect == "nan":
         tokens[-1][col] = "nan"
     elif defect == "overflow":
-        tokens[-1][col] = "-0x1p+2000"
+        tokens[-1][col] = "-0x1p+2000" if form == "hex" else "1e400"
     elif defect == "bad":
-        tokens[-1][col] = "0x1.0.0"
+        tokens[-1][col] = "0x1.0.0" if form == "hex" else "1.0.0"
     elif defect == "two-x":
         tokens[-1][col] = "0x0x1"
-    elif defect == "x-moved":  # the file's count of 'x' still equals its token count
+    elif defect == "x-moved":  # in a hex file the count of 'x' still equals the token count
         assume(rows * cols >= 2)
         tokens[0][0] = "0x0x1"
         tokens[-1][-1] = repr(values[-1][-1])
@@ -280,7 +292,7 @@ def test_hex_defects_give_per_token_outcome(M, defect, col):
         tokens[0].append(tokens[-1].pop())
     else:
         for row in tokens:
-            row.append("0x0p+0")
+            row.append(render(0.0))
     text = f"{rows} {cols}\n" + "".join(" ".join(row) + "\n" for row in tokens)
     with tempfile.TemporaryDirectory() as tmp:
         path = write_text(tmp, text)
@@ -292,7 +304,7 @@ def test_hex_defects_give_per_token_outcome(M, defect, col):
                 read_matrix(path)
             assert str(err.value) == str(exc)
         else:
-            assert defect == "decimal"
+            assert defect == "mixed"
             back = read_matrix(path)
             assert np.array_equal(back.view(np.int64), expected.view(np.int64))
             assert np.array_equal(back.view(np.int64), M.view(np.int64))
