@@ -21,9 +21,8 @@ from .clustering import METHODS, ClusterLabels, NcutConfig, check_memory, cluste
 from .dataio import (
     Manifest,
     SynthSpec,
-    build_point,
-    load_dataset,
     load_manifest,
+    load_points,
     read_labels,
     read_lines,
     save_results,
@@ -154,11 +153,10 @@ def _load_points(args) -> list:
         manifest_path = os.path.join(manifest_path, "manifest.txt")
     manifest: Manifest = load_manifest(manifest_path)
     check_memory(len(manifest.entries), page_bytes("SC_PHYS_PAGES"))  # before any matrix file
-    sets = load_dataset(manifest)
-    if not sets:
+    points = load_points(manifest, args.p, args.standardize)
+    if not points:
         raise InvalidInputError(f"{manifest_path}: manifest lists no data")
-    p = args.p if args.p is not None else min(sets[0].samples.shape)
-    return [build_point(s, p, standardize=args.standardize) for s in sets]
+    return points
 
 
 def _parse_lambdas(text: str) -> list[float]:

@@ -39,12 +39,12 @@ from .closed_form import LowRankCoefficients, glrr_f_solve
 from .errors import InvalidConfigError, InvalidInputError
 from .kernels import KernelSpec, gram
 from .manifold import GrassmannPoint, as_matrix, canonical_signs
-from .rng import SplitMix64
+from .parallel import system_cpus, worker_count
+from .rng import substream_states, units
 
 METHODS = ("glrr-f", "glrr-21", "kglrr")
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # the N x N float64 temporaries one lambda in flight may hold: tracemalloc peaks
 # were 5.8 N^2 doubles (glrr-f, N=500) and 13 N^2 (glrr-21, N=200), plus margin
 SWEEP_BYTES_PER_N2 = 16 * 8
@@ -104,22 +104,24 @@ def _kmeanspp_batch(canon: np.ndarray, k: int, restarts: int, seed: int) -> np.n
     takes its lowest unused index.
     """
     n = canon.shape[0]
-    rngs = [SplitMix64.substream(seed, r) for r in range(restarts)]
+    states = substream_states(seed, restarts)
     chosen = np.empty((restarts, k), dtype=np.int64)
-    chosen[:, 0] = [min(int(rng.unit() * n), n - 1) for rng in rngs]
+    chosen[:, 0] = np.minimum((units(states) * n).astype(np.int64), n - 1)
     diff = canon - canon[chosen[:, :1]]  # (restarts, n, m), reused for every pick
     d2 = np.sum(np.square(diff, out=diff), axis=2)
     for t in range(1, k):
         totals = d2.sum(axis=1)
-        cum = np.cumsum(d2, axis=1)
-        for r, rng in enumerate(rngs):
-            if totals[r] <= 0.0:
-                # all mass on already-chosen coordinates: take the lowest unused index
-                used = set(chosen[r, :t].tolist())
-                chosen[r, t] = next(i for i in range(n) if i not in used)
-            else:
-                u = rng.unit() * totals[r]
-                chosen[r, t] = min(int(np.searchsorted(cum[r], u, side="right")), n - 1)
+        draw = totals > 0.0
+        drawing = states[draw]
+        u = units(drawing) * totals[draw]
+        states[draw] = drawing
+        # the count of cumulative masses <= u is searchsorted(side="right") of a nondecreasing row
+        picks = np.count_nonzero(np.cumsum(d2[draw], axis=1) <= u[:, None], axis=1)
+        chosen[draw, t] = np.minimum(picks, n - 1)
+        for r in np.flatnonzero(~draw):
+            # all mass on already-chosen coordinates: take the lowest unused index
+            used = set(chosen[r, :t].tolist())
+            chosen[r, t] = next(i for i in range(n) if i not in used)
         np.subtract(canon, canon[chosen[:, t : t + 1]], out=diff)
         np.minimum(d2, np.sum(np.square(diff, out=diff), axis=2), out=d2)
     return chosen
@@ -360,31 +362,19 @@ def _solve_lambda(G, method: str, lam: float, ncut_cfg: NcutConfig,
 def sweep_workers(n_lambdas: int, n: int, cpus: int, environ, free_bytes: int | None) -> int:
     """How many lambda values ``cluster_sweep`` solves at once.
 
-    Each lambda's BLAS calls use ``t`` threads, the largest positive integer
-    among ``BLAS_THREAD_VARS`` in ``environ`` (``cpus`` when none is set or
-    valid), so ``cpus // t`` lambda values fit on the CPUs.  Each lambda in
-    flight is allowed ``SWEEP_BYTES_PER_N2`` bytes per N^2 and all of them
-    together half of ``free_bytes``; an unknown ``free_bytes`` allows one.
-    Never more than ``n_lambdas``, never less than 1.
+    ``parallel.worker_count`` over ``n_lambdas`` items, further capped by
+    memory: each lambda in flight is allowed ``SWEEP_BYTES_PER_N2`` bytes per
+    N^2 and all of them together half of ``free_bytes``; an unknown
+    ``free_bytes`` allows one.  Never less than 1.
     """
-    threads = []
-    for var in BLAS_THREAD_VARS:
-        try:
-            threads.append(int(environ.get(var, "")))
-        except ValueError:
-            pass
-    blas = max((t for t in threads if t > 0), default=cpus)
     memory_cap = 0 if free_bytes is None else free_bytes // (2 * SWEEP_BYTES_PER_N2 * n * n)
-    return max(1, min(n_lambdas, cpus // blas, memory_cap))
+    return max(1, min(worker_count(cpus, environ, n_lambdas), memory_cap))
 
 
 def _system_workers(n_lambdas: int, n: int) -> int:
     """``sweep_workers`` from this process's CPU affinity, environment and free pages."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        cpus = os.cpu_count() or 1
-    return sweep_workers(n_lambdas, n, cpus, os.environ, page_bytes("SC_AVPHYS_PAGES"))
+    return sweep_workers(n_lambdas, n, system_cpus(), os.environ,
+                         page_bytes("SC_AVPHYS_PAGES"))
 
 
 def page_bytes(pages: str) -> int | None:

@@ -16,16 +16,20 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleSpecError, InvalidInputError
+from .errors import GrassLrrError, InfeasibleSpecError, InvalidInputError
 from .kernels import principal_angle_cosines
 from .manifold import GrassmannPoint, as_matrix, orthonormalize
+from .parallel import system_cpus, worker_count
 from .rng import SplitMix64
 
 MAX_CENTER_REDRAWS = 1000
+# matrix-file bytes each loader worker must have to pay for its fork
+LOAD_BYTES_PER_WORKER = 2 << 20
 _INT64 = np.iinfo(np.int64)
 
 
@@ -265,22 +269,112 @@ def load_manifest(path) -> Manifest:
     return Manifest(entries=entries, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
+def _read_set(base_dir: str, rel: str, label: int, d: int | None) -> ImageSet:
+    full = os.path.join(base_dir, rel)
+    if not os.path.exists(full):
+        raise InvalidInputError(f"dataset file not found: {full}")
+    samples = read_matrix(full)
+    if d is not None and samples.shape[0] != d:
+        raise InvalidInputError(f"{full}: sample dimension {samples.shape[0]} differs from {d}")
+    return ImageSet(id=rel, samples=samples, label=label)
+
+
+def _read_sets(base_dir: str, entries, d: int) -> list[ImageSet]:
+    return [_read_set(base_dir, rel, label, d) for rel, label in entries]
+
+
 def load_dataset(manifest: Manifest) -> list[ImageSet]:
-    sets = []
-    d = None
-    for rel, label in manifest.entries:
-        full = os.path.join(manifest.base_dir, rel)
-        if not os.path.exists(full):
-            raise InvalidInputError(f"dataset file not found: {full}")
-        samples = read_matrix(full)
-        if d is None:
-            d = samples.shape[0]
-        elif samples.shape[0] != d:
-            raise InvalidInputError(
-                f"{full}: sample dimension {samples.shape[0]} differs from {d}"
-            )
-        sets.append(ImageSet(id=rel, samples=samples, label=label))
-    return sets
+    """Every entry's sample matrix, in order; each must have entry 0's sample dimension."""
+    if not manifest.entries:
+        return []
+    first = _read_set(manifest.base_dir, *manifest.entries[0], None)
+    return [first] + _read_sets(manifest.base_dir, manifest.entries[1:], first.samples.shape[0])
+
+
+def _build_points(sets, p: int, standardize: bool):
+    """(points, None), or (None, the first build error), which waits until every file is read."""
+    try:
+        return [build_point(s, p, standardize) for s in sets], None
+    except (GrassLrrError, np.linalg.LinAlgError, MemoryError) as exc:
+        return None, exc
+
+
+def _embed_chunk(base_dir: str, entries, d: int, p: int, standardize: bool):
+    """A forked worker's run of entries: their bases as one (m, d, p) array, or a build error."""
+    points, error = _build_points(_read_sets(base_dir, entries, d), p, standardize)
+    return (None if error else np.array([q.basis for q in points])), error
+
+
+def _forked(head, jobs) -> list:
+    """``[head()]`` from this process, then ``_embed_chunk(*job)`` per job from forked workers.
+
+    A worker's read error is raised at its job's turn; no worker outlives the call.
+    """
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(len(jobs), mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(_embed_chunk, *job) for job in jobs]
+        return [head()] + [future.result() for future in futures]
+    except BrokenProcessPool as exc:
+        raise GrassLrrError(f"a worker process loading the dataset stopped: {exc}") from None
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def load_points(manifest: Manifest, p: int | None = None, standardize: bool = False,
+                workers: int | None = None) -> list[GrassmannPoint]:
+    """``build_point`` of every entry of ``load_dataset(manifest)``, in manifest order.
+
+    ``p`` defaults to the smaller side of entry 0's matrix.  The entries are
+    split into ``workers`` contiguous chunks (``load_workers`` when None):
+    chunk 0 is read and built in this process, every other chunk in a worker
+    forked after entry 0 is read.  The result and every error are the serial
+    loader's: the first failing read in manifest order, and a build error
+    only once every file has been read.
+    """
+    entries, base = manifest.entries, manifest.base_dir
+    if not entries:
+        return []
+    workers = max(1, min(load_workers(manifest) if workers is None else workers, len(entries)))
+    first = _read_set(base, *entries[0], None)
+    d, p = first.samples.shape[0], min(first.samples.shape) if p is None else p
+    bounds = [len(entries) * c // workers for c in range(workers + 1)]
+
+    def head():
+        return _build_points([first] + _read_sets(base, entries[1 : bounds[1]], d), p, standardize)
+
+    if workers == 1:
+        results = [head()]
+    else:
+        jobs = [(base, entries[a:b], d, p, standardize) for a, b in zip(bounds[1:], bounds[2:])]
+        results = _forked(head, jobs)
+    for _, error in results:
+        if error is not None:
+            raise error
+    points = results[0][0]
+    for bases, _ in results[1:]:
+        points += [GrassmannPoint(basis=b) for b in bases]
+    return points
+
+
+def load_workers(manifest: Manifest) -> int:
+    """``worker_count`` for loading ``manifest`` here: each worker gets ``LOAD_BYTES_PER_WORKER``.
+
+    1 without ``os.fork``, beside another thread, which a fork would not
+    copy, or for files too small to pay for a worker.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    size = 0
+    for rel, _ in manifest.entries:
+        try:
+            size += os.stat(os.path.join(manifest.base_dir, rel)).st_size
+        except OSError:  # the read reports it, in manifest order
+            pass
+    return worker_count(system_cpus(), os.environ, len(manifest.entries), size,
+                        LOAD_BYTES_PER_WORKER)
 
 
 def build_point(image_set: ImageSet, p: int, standardize: bool = False) -> GrassmannPoint:

@@ -20,6 +20,9 @@ class RankDeficientError(InvalidInputError):
         super().__init__(message)
         self.achieved_rank = achieved_rank
 
+    def __reduce__(self):  # unpickled through __init__, which needs the rank too
+        return type(self), (*self.args, self.achieved_rank)
+
 
 class NumericalDivergenceError(GrassLrrError):
     """An iterative solver produced non-finite iterates."""

@@ -12,16 +12,20 @@ is where they, and ``kernel_sqrt``, get it.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
 from .manifold import GrassmannPoint, SymEig, as_matrix, check_same_shape, sym_eig
+from .parallel import system_cpus, worker_count
 
 KERNEL_KINDS = ("projection", "cc-max", "cc-sum", "ccp")
 
 PSD_RTOL = 1e-8
+# point pairs each Gram-row thread must have to pay for starting it
+GRAM_PAIRS_PER_THREAD = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,9 @@ def assemble_gram(points: list[GrassmannPoint], spec: KernelSpec) -> np.ndarray:
     Row i multiplies X_i^T by the stacked bases [X_i ... X_N], views the
     product as an (N - i, p, p) stack of cross products, and mirrors the
     resulting kernel values into column i.  Memory stays O(N d p + N^2).
+    The cc kernels deal rows round-robin to ``gram_workers(N)`` threads; row
+    i and column i are written by row i alone, so the values do not depend
+    on the count.  The projection kernel's rows stay on the calling thread.
     """
     n = len(points)
     if n < 2:
@@ -110,10 +117,29 @@ def assemble_gram(points: list[GrassmannPoint], spec: KernelSpec) -> np.ndarray:
     p = points[0].p
     stacked = np.concatenate([q.basis for q in points], axis=1)
     K = np.empty((n, n))
-    for i in range(n):
-        cross = points[i].basis.T @ stacked[:, i * p :]
-        K[i, i:] = K[i:, i] = _kernel_row(cross.reshape(p, n - i, p).transpose(1, 0, 2), spec)
+
+    def fill(first: int, step: int) -> None:
+        for i in range(first, n, step):
+            cross = points[i].basis.T @ stacked[:, i * p :]
+            K[i, i:] = K[i:, i] = _kernel_row(cross.reshape(p, n - i, p).transpose(1, 0, 2), spec)
+
+    workers = 1 if spec.kind == "projection" else gram_workers(n)
+    if workers == 1:
+        fill(0, 1)
+        return K
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:  # joined on every exit
+        futures = [pool.submit(fill, t, workers) for t in range(1, workers)]
+        fill(0, workers)
+        for future in futures:
+            future.result()
     return K
+
+
+def gram_workers(n: int) -> int:
+    """``worker_count`` for an n-point cc Gram matrix here: ``GRAM_PAIRS_PER_THREAD`` pairs each."""
+    return worker_count(system_cpus(), os.environ, n, n * (n + 1) // 2, GRAM_PAIRS_PER_THREAD)
 
 
 def gram(points: list[GrassmannPoint], spec: KernelSpec) -> KernelMatrix:

@@ -26,6 +26,7 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_U64 = np.uint64
 
 
 def mix64(z: int) -> int:
@@ -77,3 +78,23 @@ class SplitMix64:
         for i in range(flat.size):
             flat[i] = self.gaussian()
         return out
+
+
+def substream_states(seed: int, count: int) -> np.ndarray:
+    """The uint64 states of ``SplitMix64.substream(seed, r)`` for r < count, for ``units``."""
+    return np.array([SplitMix64.substream(seed, r)._state for r in range(count)], dtype=_U64)
+
+
+def units(states: np.ndarray) -> np.ndarray:
+    """Advance each stream state of ``states`` in place by one word; each stream's ``unit()``.
+
+    numpy's uint64 array arithmetic wraps modulo 2**64, as the stream's
+    definition does, so every value is bit-identical to ``SplitMix64.unit``.
+    """
+    states += _U64(_GOLDEN)
+    z = states ^ (states >> _U64(30))
+    z *= _U64(0xBF58476D1CE4E5B9)
+    z ^= z >> _U64(27)
+    z *= _U64(0x94D049BB133111EB)
+    z ^= z >> _U64(31)
+    return (z >> _U64(11)).astype(np.float64) * 2.0**-53

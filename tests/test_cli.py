@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 import grasslrr
 
 from grasslrr import accuracy as lib_accuracy
-from grasslrr import ClusterLabels, clustering, read_labels, read_matrix
+from grasslrr import ClusterLabels, clustering, dataio, read_labels, read_matrix
 from grasslrr.cli import main
 from grasslrr.errors import NumericalDivergenceError
 from oracles import load_report
@@ -664,6 +665,83 @@ def test_one_lambda_run_starts_no_thread_pool(tmp_path):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False False"
+
+
+@pytest.mark.parametrize("method, extra", [
+    ("glrr-f", []),
+    ("glrr-21", ["--max-iters", "20"]),
+    ("kglrr", ["--kernel", "cc-sum"]),
+])
+def test_small_run_forks_no_worker_and_starts_no_thread(method, extra, tmp_path):
+    # 60 hex files of a few KB are far below a loader worker's byte floor, and
+    # 60 points below a Gram-row thread's pair floor, so with CPUs to spare a
+    # one-lambda run imports no multiprocessing and starts no thread
+    data = run_synth(tmp_path, seed=41)
+    argv = ["cluster", "--data", str(data), "--method", method, "--lambda", "0.5",
+            "--clusters", "4", "--out", str(tmp_path / "o")] + extra
+    script = (
+        "import sys, threading\n"
+        "started = []\n"
+        "start = threading.Thread.start\n"
+        "threading.Thread.start = lambda self: (started.append(self.name), start(self))[1]\n"
+        "from grasslrr.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, 'multiprocessing' in sys.modules, started)\n"
+    )
+    src = os.path.dirname(os.path.dirname(grasslrr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False []"
+
+
+def fail_in_workers(monkeypatch, failure):
+    """Run ``failure(path)`` instead of read_matrix in forked loader workers only, with three
+    of them."""
+    parent, real = os.getpid(), dataio.read_matrix
+
+    def read_matrix_here(path):
+        return real(path) if os.getpid() == parent else failure(path)
+
+    monkeypatch.setattr(dataio, "read_matrix", read_matrix_here)
+    monkeypatch.setattr(dataio, "load_workers", lambda manifest: 3)
+
+
+class TestLoaderWorkerFailure:
+    """A worker that runs out of memory or dies gives exit 2 and a message, never a traceback,
+    and no worker is left running."""
+
+    def run(self, small_dataset, tmp_path, capsys):
+        capsys.readouterr()
+        threads = threading.active_count()
+        code = main(["cluster", "--data", str(small_dataset), "--method", "glrr-f",
+                     "--lambda", "1", "--clusters", "2", "--out", str(tmp_path / "o")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+        assert not (tmp_path / "o").exists()
+        return err
+
+    def test_out_of_memory(self, small_dataset, tmp_path, monkeypatch, capsys):
+        def exhausted(path):
+            raise MemoryError("Unable to allocate 1.00 GiB for an array with shape "
+                              "(134217728,) and data type float64")
+
+        fail_in_workers(monkeypatch, exhausted)
+        err = self.run(small_dataset, tmp_path, capsys)
+        assert err == ("error: out of memory: Unable to allocate 1.00 GiB for an array with "
+                       "shape (134217728,) and data type float64\n")
+
+    def test_worker_dies(self, small_dataset, tmp_path, monkeypatch, capsys):
+        fail_in_workers(monkeypatch, lambda path: os._exit(9))
+        err = self.run(small_dataset, tmp_path, capsys)
+        assert err.startswith("error: a worker process loading the dataset stopped: "), err
+        assert err.count("\n") == 1
 
 
 PUBLIC_NAMES = {

@@ -1,8 +1,13 @@
+import inspect
+import multiprocessing
 import os
+import pickle
+import threading
 
 import numpy as np
 import pytest
 
+from grasslrr import dataio, errors
 from grasslrr import (
     ClusterLabels,
     ImageSet,
@@ -21,8 +26,10 @@ from grasslrr import (
     write_labels,
     write_matrix,
 )
+from grasslrr.dataio import load_points, load_workers
 from grasslrr.kernels import principal_angle_cosines
-from grasslrr.rng import SplitMix64, mix64
+from grasslrr.parallel import worker_count
+from grasslrr.rng import SplitMix64, mix64, substream_states, units
 from oracles import grassmann_distance, k_projection, load_report
 
 
@@ -191,6 +198,163 @@ class TestManifest:
         manifest.write_text("a.mat\t-1\n")
         with pytest.raises(InvalidInputError):
             load_manifest(manifest)
+
+
+def write_sets(directory, mats, form="hex"):
+    """Matrix files s0.mat, s1.mat, ... in ``form`` and their manifest, loaded."""
+    lines = []
+    for i, m in enumerate(mats):
+        path = directory / f"s{i}.mat"
+        if form == "hex":
+            write_matrix(path, m)
+        else:
+            rows = "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in m)
+            path.write_text(f"{m.shape[0]} {m.shape[1]}\n{rows}")
+        lines.append(f"s{i}.mat\t{i % 2}")
+    (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
+    return load_manifest(directory / "manifest.txt")
+
+
+def rank_one(d, q):
+    return np.outer(np.arange(1.0, d + 1.0), np.ones(q))
+
+
+def set_with_constant_column(d, q, seed):
+    m = np.random.default_rng(seed).standard_normal((d, q))
+    m[:, 0] = 2.5
+    return m
+
+
+# (file index, replacement): None deletes the file, a string replaces its text,
+# an array rewrites it; the expected error names the first failure in manifest
+# order, with read errors ahead of every basis-build error.  Seven entries make
+# chunks [0, 3) [3, 7) for two workers and [0, 2) [2, 4) [4, 7) for three.
+LOADER_FAILURES = {
+    "missing-in-two-worker-chunks": (
+        [(3, None), (6, None)], False, "dataset file not found: {dir}/s3.mat"),
+    "bad-token-before-missing": (
+        [(5, "1 5\n1.0.0" + " 1" * 4 + "\n"), (6, None)], False,
+        "{dir}/s5.mat: cannot parse value at line 2, column 1: '1.0.0'"),
+    "chunk-0-wins": (
+        [(1, "1 5\nx" + " 1" * 4 + "\n"), (4, None), (6, None)], False,
+        "{dir}/s1.mat: cannot parse value at line 2, column 1: 'x'"),
+    "dimension-at-chunk-starts": (
+        [(2, np.ones((13, 5))), (4, np.ones((11, 5)))], False,
+        "{dir}/s2.mat: sample dimension 13 differs from 12"),
+    "read-error-before-earlier-build-error": (
+        [(1, rank_one(12, 5)), (6, None)], False, "dataset file not found: {dir}/s6.mat"),
+    "constant-column-before-rank-deficiency": (
+        [(2, set_with_constant_column(12, 5, 1)), (5, rank_one(12, 5))], True,
+        "sample column 0 of 's2.mat' is constant; cannot standardize"),
+    "rank-deficiency-in-a-worker": (
+        [(5, rank_one(12, 5))], False, "numerical rank 1 is below requested dimension 2"),
+}
+
+
+class TestParallelLoader:
+    """``load_points`` on 1, 2 or 3 processes: the serial loader's points and errors."""
+
+    def mats(self):
+        rng = np.random.default_rng(11)
+        return [rng.standard_normal((12, 5)) for _ in range(7)]
+
+    @pytest.mark.parametrize("form", ["hex", "decimal"])
+    def test_points_bit_identical(self, tmp_path, form):
+        manifest = write_sets(tmp_path, self.mats(), form)
+        expected = [build_point(s, 5).basis for s in load_dataset(manifest)]
+        for workers in (1, 2, 3, 9):
+            points = load_points(manifest, None, False, workers)
+            assert [q.basis.tobytes() for q in points] == [b.tobytes() for b in expected]
+            assert not any(q.basis.flags.writeable for q in points)
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("case", sorted(LOADER_FAILURES))
+    def test_first_failure_in_manifest_order(self, tmp_path, case):
+        changes, standardize, expected = LOADER_FAILURES[case]
+        mats = self.mats()
+        write_sets(tmp_path, mats)
+        for index, replacement in changes:
+            path = tmp_path / f"s{index}.mat"
+            if replacement is None:
+                os.remove(path)
+            elif isinstance(replacement, str):
+                path.write_text(replacement)
+            else:
+                write_matrix(path, replacement)
+        manifest = load_manifest(tmp_path / "manifest.txt")
+        raised = []
+        for workers in (1, 2, 3):
+            with pytest.raises(errors.GrassLrrError) as err:
+                load_points(manifest, 2, standardize, workers)
+            assert str(err.value) == expected.format(dir=tmp_path)
+            assert multiprocessing.active_children() == []
+            raised.append(err.value)
+        assert len({type(exc) for exc in raised}) == 1
+        assert {vars(exc).get("achieved_rank") for exc in raised} in ({None}, {1})
+
+    def test_empty_manifest(self, tmp_path):
+        (tmp_path / "manifest.txt").write_text("# nothing\n")
+        assert load_points(load_manifest(tmp_path / "manifest.txt"), None, False, 2) == []
+
+
+class TestLoadWorkers:
+    """Forked loader workers: the shared CPU rule, one per LOAD_BYTES_PER_WORKER, no fork beside
+    another thread or without os.fork."""
+
+    @pytest.mark.parametrize("cpus, environ, items, work, floor, expected", [
+        (4, {"OPENBLAS_NUM_THREADS": "1"}, 400, 25 << 20, 2 << 20, 4),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 400, 25 << 20, 2 << 20, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 500, 1 << 20, 2 << 20, 1),
+        (4, {"OPENBLAS_NUM_THREADS": "1"}, 400, 5 << 20, 2 << 20, 2),
+        (4, {"OPENBLAS_NUM_THREADS": "1"}, 3, 25 << 20, 2 << 20, 3),
+        (4, {}, 400, 25 << 20, 2 << 20, 1),
+        (4, {"OMP_NUM_THREADS": "2"}, 400, 25 << 20, 2 << 20, 2),
+        (4, {"OPENBLAS_NUM_THREADS": "1"}, 0, 0, 1, 1),
+    ], ids=["four-cpus", "two-cpus", "below-floor", "floor-caps", "file-count-caps",
+            "blas-unset", "two-blas-threads", "no-work"])
+    def test_rule(self, cpus, environ, items, work, floor, expected):
+        assert worker_count(cpus, environ, items, work, floor) == expected
+
+    def test_probe(self, tmp_path, monkeypatch):
+        manifest = write_sets(tmp_path, [np.eye(4)] * 5)
+        size = sum(os.path.getsize(tmp_path / f"s{i}.mat") for i in range(5))
+        monkeypatch.setattr(dataio, "system_cpus", lambda: 8)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert load_workers(manifest) == 1  # a few hundred bytes
+        monkeypatch.setattr(dataio, "LOAD_BYTES_PER_WORKER", size // 3)
+        assert load_workers(manifest) == 3
+        os.remove(tmp_path / "s4.mat")  # a missing file counts no bytes
+        assert load_workers(manifest) == 2
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            assert load_workers(manifest) == 1
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert load_workers(manifest) == 2
+        monkeypatch.delattr(os, "fork")
+        assert load_workers(manifest) == 1
+
+
+class TestErrorPickling:
+    """Every error class survives a round trip through pickle, as a worker's error must."""
+
+    @pytest.mark.parametrize("cls", [
+        value for value in vars(errors).values()
+        if inspect.isclass(value) and issubclass(value, Exception)
+        and value.__module__ == errors.__name__
+    ], ids=lambda cls: cls.__name__)
+    def test_round_trip(self, cls):
+        extra = {"achieved_rank": 2} if cls is errors.RankDeficientError else {}
+        exc = cls("message text", **extra)
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert str(back) == "message text"
+        assert back.args == exc.args
+        assert vars(back) == vars(exc) == extra
 
 
 class TestBuildPoint:
@@ -392,6 +556,13 @@ class TestRng:
         b = SplitMix64(9)
         flat = [b.gaussian() for _ in range(6)]
         assert M.reshape(-1).tolist() == flat
+
+    def test_units_match_the_scalar_streams(self):
+        seed, count = 2**64 - 3, 6
+        streams = [SplitMix64.substream(seed, r) for r in range(count)]
+        states = substream_states(seed, count)
+        for _ in range(50):
+            assert units(states).tolist() == [rng.unit() for rng in streams]
 
     def test_mix64_is_deterministic(self):
         assert mix64(0) == mix64(0)

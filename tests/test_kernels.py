@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,9 @@ from grasslrr import (
     orthonormalize,
     principal_angle_cosines,
 )
+from grasslrr import kernels
 from grasslrr.closed_form import build_delta
-from grasslrr.kernels import psd_clamp
+from grasslrr.kernels import assemble_gram, gram_workers, psd_clamp
 from oracles import k_cc, k_ccp, k_projection
 
 
@@ -224,6 +228,78 @@ class TestGram:
             gram([], KernelSpec(kind="projection"))
         with pytest.raises(InvalidInputError):
             gram([random_point(rng, 6, 2)], KernelSpec(kind="projection"))
+
+
+class TestGramRowThreads:
+    """Gram rows dealt round-robin to threads: the serial values, bit for bit; no thread
+    outlives the call."""
+
+    SPECS = [KernelSpec(kind="cc-max"), KernelSpec(kind="cc-sum"),
+             KernelSpec(kind="ccp", alpha=0.3)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+    def test_any_thread_count_matches_serial(self, spec, monkeypatch):
+        rng = np.random.default_rng(31)
+        points = [random_point(rng, 7, 3) for _ in range(23)]
+        monkeypatch.setattr(kernels, "gram_workers", lambda n: 1)
+        serial = assemble_gram(points, spec)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads' Python steps finely
+        try:
+            for workers in (2, 3, 5, 40):
+                monkeypatch.setattr(kernels, "gram_workers", lambda n: workers)
+                before = threading.active_count()
+                assert assemble_gram(points, spec).tobytes() == serial.tobytes()
+                assert threading.active_count() == before
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_error_in_a_thread_is_raised_after_joining(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        points = [random_point(rng, 7, 3) for _ in range(12)]
+        real = kernels._kernel_row
+        rows = []
+
+        def failing(cross, spec):
+            rows.append(threading.get_ident())
+            if cross.shape[0] == 12 - 4:  # row 4, which thread 1 of 3 computes
+                raise MemoryError("row 4")
+            return real(cross, spec)
+
+        monkeypatch.setattr(kernels, "_kernel_row", failing)
+        monkeypatch.setattr(kernels, "gram_workers", lambda n: 3)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="row 4"):
+            assemble_gram(points, KernelSpec(kind="cc-sum"))
+        assert threading.active_count() == before
+        assert len(set(rows)) > 1
+
+    def test_default_count(self, monkeypatch):
+        monkeypatch.setattr(kernels, "system_cpus", lambda: 4)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        per_thread = kernels.GRAM_PAIRS_PER_THREAD
+        assert gram_workers(60) == 1
+        n = next(n for n in range(2, 10**4) if n * (n + 1) // 2 >= 2 * per_thread)
+        assert gram_workers(n - 1) == 1
+        assert gram_workers(n) == 2
+        assert gram_workers(10**4) == 4
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        assert gram_workers(10**4) == 1
+
+    def test_projection_rows_stay_serial(self, monkeypatch):
+        monkeypatch.setattr(kernels, "gram_workers", lambda n: 4)
+        rng = np.random.default_rng(33)
+        points = [random_point(rng, 7, 3) for _ in range(12)]
+        started = []
+        real_start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: (started.append(self), real_start(self))[1])
+        assemble_gram(points, KernelSpec(kind="projection"))
+        assert started == []
+        assemble_gram(points, KernelSpec(kind="cc-sum"))
+        assert 1 <= len(started) <= 3  # the pool may reuse a thread that finished early
 
 
 class TestPsdClamp:
