@@ -17,7 +17,7 @@ from dataclasses import fields
 import numpy as np
 
 from .admm import AdmmConfig
-from .clustering import METHODS, ClusterLabels, NcutConfig, check_memory, cluster_sweep, page_bytes
+from .clustering import METHODS, ClusterLabels, NcutConfig, check_memory, cluster_sweep
 from .dataio import (
     Manifest,
     SynthSpec,
@@ -34,6 +34,7 @@ from .dataio import (
 from .errors import GrassLrrError, InvalidInputError, NumericalDivergenceError
 from .evaluation import accuracy
 from .kernels import KERNEL_KINDS, KernelSpec
+from .parallel import page_bytes
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
@@ -190,7 +191,7 @@ def cmd_cluster(args) -> int:
             raise InvalidInputError(
                 f"{args.truth}: {truth_labels.shape[0]} labels for {len(points)} points"
             )
-        truth = ClusterLabels(labels=truth_labels, n_clusters=int(truth_labels.max()) + 1)
+        truth = _clusters(truth_labels)
 
     ncut_cfg = NcutConfig(
         n_clusters=args.clusters,
@@ -240,6 +241,12 @@ def cmd_cluster(args) -> int:
     return 0
 
 
+def _clusters(values: np.ndarray) -> ClusterLabels:
+    """Label ids as clusters 0..k-1 by their rank among the distinct ids, so any int64 ids do."""
+    ids, ranks = np.unique(values, return_inverse=True)
+    return ClusterLabels(labels=ranks, n_clusters=ids.size)
+
+
 def cmd_eval(args) -> int:
     pred_values = read_labels(args.pred)
     truth_values = read_labels(args.truth)
@@ -250,9 +257,7 @@ def cmd_eval(args) -> int:
         )
     if pred_values.shape[0] == 0:
         raise InvalidInputError("label files are empty")
-    pred = ClusterLabels(labels=pred_values, n_clusters=int(pred_values.max()) + 1)
-    truth = ClusterLabels(labels=truth_values, n_clusters=int(truth_values.max()) + 1)
-    report = accuracy(pred, truth)
+    report = accuracy(_clusters(pred_values), _clusters(truth_values))
     print(f"accuracy {report.accuracy:.4f} ({report.accuracy * 100.0:.2f}%)")
     print("confusion (rows: predicted, cols: true):")
     for row in np.asarray(report.confusion):

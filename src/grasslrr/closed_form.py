@@ -12,7 +12,7 @@ reported objective carries the 1/2 so the shrinkage rule is its exact
 minimizer.)  The same rule solves the kernelized variant for any PSD Gram
 matrix; glrr-f is the kernelized solve with the projection kernel.  Every
 Gram matrix is a ``KernelMatrix``, whose stored eigendecomposition the solve
-reads; ``build_delta`` is the unrepaired projection-kernel one.
+reads; ``build_delta`` is the projection kernel's ``gram``.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError
-from .kernels import KernelMatrix, KernelSpec, _spectrum, assemble_gram
-from .manifold import GrassmannPoint, sym_eig
+from .kernels import KernelMatrix, KernelSpec, _spectrum, gram
+from .manifold import GrassmannPoint
 
 EIG_ZERO_RTOL = 1e-12
 
@@ -55,11 +55,8 @@ class ClosedFormReport:
 
 
 def build_delta(points: list[GrassmannPoint]) -> KernelMatrix:
-    """Gram matrix of the embedded points: the unrepaired projection-kernel KernelMatrix."""
-    spec = KernelSpec(kind="projection")
-    delta = assemble_gram(points, spec)
-    delta.setflags(write=False)
-    return KernelMatrix(values=delta, spec=spec, eig=sym_eig(delta))
+    """Gram matrix of the embedded points: the projection-kernel KernelMatrix."""
+    return gram(points, KernelSpec(kind="projection"))
 
 
 def glrr_f_solve(G, lam: float) -> tuple[LowRankCoefficients, ClosedFormReport]:

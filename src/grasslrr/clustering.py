@@ -20,15 +20,15 @@ restart on its own with direct squared differences (the oracle in
 assignment the GEMM's rounding could flip is redone with them.  Reruns with
 the same BLAS thread count are byte-identical.
 
-``cluster_sweep`` solves several lambda values at once, on threads, when the
-BLAS thread count leaves CPUs idle (``sweep_workers``), and still yields them
-in order; every lambda's result is the one a serial sweep gives.
+``cluster_sweep`` hands its lambda values to ``parallel.ordered_map``, which
+solves several at once, on threads, when the BLAS thread count leaves CPUs
+idle (``sweep_workers``), and still yields them in order; every lambda's
+result is the one a serial sweep gives.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
@@ -39,7 +39,7 @@ from .closed_form import LowRankCoefficients, glrr_f_solve
 from .errors import InvalidConfigError, InvalidInputError
 from .kernels import KernelSpec, gram
 from .manifold import GrassmannPoint, as_matrix, canonical_signs
-from .parallel import system_cpus, worker_count
+from .parallel import ordered_map, page_bytes, system_cpus, worker_count
 from .rng import substream_states, units
 
 METHODS = ("glrr-f", "glrr-21", "kglrr")
@@ -291,14 +291,12 @@ def cluster_sweep(
     matrix and its eigendecomposition are built once; each lambda then
     yields ``(labels, coeffs, diagnostics)``, in the order of ``lambdas``.
 
-    Up to ``sweep_workers`` lambda values are solved at once on a sliding
-    window of threads; numpy's LAPACK, GEMM and ufunc calls release the GIL,
-    so a one-thread BLAS leaves the other CPUs to them.  Each lambda runs the
+    ``parallel.ordered_map`` solves up to ``sweep_workers`` lambda values at
+    once on threads; numpy's LAPACK, GEMM and ufunc calls release the GIL, so
+    a one-thread BLAS leaves the other CPUs to them.  Each lambda runs the
     same arithmetic as it would alone, so the results do not depend on the
-    window.  A lambda's exception is raised at its turn, after every earlier
-    lambda has been yielded and before any later one.  Closing the generator,
-    or an exception, cancels the lambda values not yet started and waits for
-    the running ones, so no thread outlives the sweep.
+    count.  A lambda's exception is raised at its turn; closing the generator
+    cancels the lambda values not yet started and joins the running ones.
     """
     if method not in METHODS:
         raise InvalidConfigError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -311,28 +309,8 @@ def cluster_sweep(
         raise InvalidConfigError(f"cannot split {n} points into {k} clusters")
 
     G = gram(points, kernel_spec)
-    lambdas = list(lambdas)
-    workers = _system_workers(len(lambdas), n)
-    if workers == 1:
-        for lam in lambdas:
-            yield _solve_lambda(G, method, lam, ncut_cfg, admm_cfg)
-        return
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        # one lambda beyond the running ones is queued, so a thread that
-        # finishes starts on it while the caller still writes the oldest result
-        window = deque()
-        for lam in lambdas:
-            window.append(pool.submit(_solve_lambda, G, method, lam, ncut_cfg, admm_cfg))
-            if len(window) > workers:
-                yield window.popleft().result()
-        while window:
-            yield window.popleft().result()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    jobs = [(G, method, lam, ncut_cfg, admm_cfg) for lam in lambdas]
+    yield from ordered_map(_solve_lambda, jobs, _system_workers(len(jobs), n))
 
 
 def _solve_lambda(G, method: str, lam: float, ncut_cfg: NcutConfig,
@@ -375,14 +353,6 @@ def _system_workers(n_lambdas: int, n: int) -> int:
     """``sweep_workers`` from this process's CPU affinity, environment and free pages."""
     return sweep_workers(n_lambdas, n, system_cpus(), os.environ,
                          page_bytes("SC_AVPHYS_PAGES"))
-
-
-def page_bytes(pages: str) -> int | None:
-    """``os.sysconf(pages)`` pages in bytes, or None where sysconf lacks the names."""
-    try:
-        return os.sysconf(pages) * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
 
 
 def check_memory(n: int, phys_bytes: int | None) -> None:

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import GrassLrrError, InfeasibleSpecError, InvalidInputError
 from .kernels import principal_angle_cosines
 from .manifold import GrassmannPoint, as_matrix, orthonormalize
-from .parallel import system_cpus, worker_count
+from .parallel import ordered_map, system_cpus, worker_count
 from .rng import SplitMix64
 
 MAX_CENTER_REDRAWS = 1000
@@ -291,48 +291,30 @@ def load_dataset(manifest: Manifest) -> list[ImageSet]:
     return [first] + _read_sets(manifest.base_dir, manifest.entries[1:], first.samples.shape[0])
 
 
-def _build_points(sets, p: int, standardize: bool):
-    """(points, None), or (None, the first build error), which waits until every file is read."""
+def _embed_chunk(base_dir: str, entries, d: int, p: int, standardize: bool, head: list):
+    """The bases of ``head``'s sets, then of ``entries``' sets, as one (m, d, p) array.
+
+    Returns (bases, None), or (None, the first build error), which waits
+    until every file of the chunk is read; a read error is raised.
+    """
+    sets = [*head, *_read_sets(base_dir, entries, d)]
     try:
-        return [build_point(s, p, standardize) for s in sets], None
+        return np.array([build_point(s, p, standardize).basis for s in sets]), None
     except (GrassLrrError, np.linalg.LinAlgError, MemoryError) as exc:
         return None, exc
-
-
-def _embed_chunk(base_dir: str, entries, d: int, p: int, standardize: bool):
-    """A forked worker's run of entries: their bases as one (m, d, p) array, or a build error."""
-    points, error = _build_points(_read_sets(base_dir, entries, d), p, standardize)
-    return (None if error else np.array([q.basis for q in points])), error
-
-
-def _forked(head, jobs) -> list:
-    """``[head()]`` from this process, then ``_embed_chunk(*job)`` per job from forked workers.
-
-    A worker's read error is raised at its job's turn; no worker outlives the call.
-    """
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(len(jobs), mp_context=multiprocessing.get_context("fork"))
-    try:
-        futures = [pool.submit(_embed_chunk, *job) for job in jobs]
-        return [head()] + [future.result() for future in futures]
-    except BrokenProcessPool as exc:
-        raise GrassLrrError(f"a worker process loading the dataset stopped: {exc}") from None
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def load_points(manifest: Manifest, p: int | None = None, standardize: bool = False,
                 workers: int | None = None) -> list[GrassmannPoint]:
     """``build_point`` of every entry of ``load_dataset(manifest)``, in manifest order.
 
-    ``p`` defaults to the smaller side of entry 0's matrix.  The entries are
-    split into ``workers`` contiguous chunks (``load_workers`` when None):
-    chunk 0 is read and built in this process, every other chunk in a worker
-    forked after entry 0 is read.  The result and every error are the serial
-    loader's: the first failing read in manifest order, and a build error
-    only once every file has been read.
+    ``p`` defaults to the smaller side of entry 0's matrix.  Entry 0 is read
+    here first; then the entries are split into ``workers`` contiguous chunks
+    (``load_workers`` when None), which ``parallel.ordered_map`` reads and
+    embeds in that many forked processes while this one waits, or here when
+    there is one.  The result and every error are the serial loader's: the
+    first failing read in manifest order, and a build error only once every
+    file has been read.
     """
     entries, base = manifest.entries, manifest.base_dir
     if not entries:
@@ -341,22 +323,16 @@ def load_points(manifest: Manifest, p: int | None = None, standardize: bool = Fa
     first = _read_set(base, *entries[0], None)
     d, p = first.samples.shape[0], min(first.samples.shape) if p is None else p
     bounds = [len(entries) * c // workers for c in range(workers + 1)]
-
-    def head():
-        return _build_points([first] + _read_sets(base, entries[1 : bounds[1]], d), p, standardize)
-
-    if workers == 1:
-        results = [head()]
-    else:
-        jobs = [(base, entries[a:b], d, p, standardize) for a, b in zip(bounds[1:], bounds[2:])]
-        results = _forked(head, jobs)
+    jobs = [(base, entries[max(a, 1) : b], d, p, standardize, [first] if a == 0 else [])
+            for a, b in zip(bounds, bounds[1:])]
+    try:
+        results = list(ordered_map(_embed_chunk, jobs, workers, fork=True))
+    except ChildProcessError as exc:
+        raise GrassLrrError(f"a worker process loading the dataset stopped: {exc}") from None
     for _, error in results:
         if error is not None:
             raise error
-    points = results[0][0]
-    for bases, _ in results[1:]:
-        points += [GrassmannPoint(basis=b) for b in bases]
-    return points
+    return [GrassmannPoint(basis=b) for bases, _ in results for b in bases]
 
 
 def load_workers(manifest: Manifest) -> int:

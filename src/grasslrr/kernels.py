@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
 from .manifold import GrassmannPoint, SymEig, as_matrix, check_same_shape, sym_eig
-from .parallel import system_cpus, worker_count
+from .parallel import ordered_map, system_cpus, worker_count
 
 KERNEL_KINDS = ("projection", "cc-max", "cc-sum", "ccp")
 
@@ -105,9 +105,11 @@ def assemble_gram(points: list[GrassmannPoint], spec: KernelSpec) -> np.ndarray:
     Row i multiplies X_i^T by the stacked bases [X_i ... X_N], views the
     product as an (N - i, p, p) stack of cross products, and mirrors the
     resulting kernel values into column i.  Memory stays O(N d p + N^2).
-    The cc kernels deal rows round-robin to ``gram_workers(N)`` threads; row
-    i and column i are written by row i alone, so the values do not depend
-    on the count.  The projection kernel's rows stay on the calling thread.
+    The cc kernels deal rows round-robin into ``gram_workers(N)`` stripes,
+    which ``ordered_map`` runs on that many threads while the caller waits;
+    row i and column i are written by row i alone, so the values do not
+    depend on the count.  The projection kernel is one stripe, on the
+    calling thread.
     """
     n = len(points)
     if n < 2:
@@ -124,16 +126,8 @@ def assemble_gram(points: list[GrassmannPoint], spec: KernelSpec) -> np.ndarray:
             K[i, i:] = K[i:, i] = _kernel_row(cross.reshape(p, n - i, p).transpose(1, 0, 2), spec)
 
     workers = 1 if spec.kind == "projection" else gram_workers(n)
-    if workers == 1:
-        fill(0, 1)
-        return K
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:  # joined on every exit
-        futures = [pool.submit(fill, t, workers) for t in range(1, workers)]
-        fill(0, workers)
-        for future in futures:
-            future.result()
+    for _ in ordered_map(fill, [(t, workers) for t in range(workers)], workers):
+        pass
     return K
 
 

@@ -195,6 +195,20 @@ class TestClusterCommand:
                      "lam_3/Z.mat", "lam_3/labels.txt", "lam_3/report.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_truth_ids_need_not_be_contiguous(self, tmp_path, capsys):
+        data = run_synth(tmp_path, seed=13)
+        sparse = tmp_path / "sparse_truth.txt"
+        sparse.write_text("".join(f"{100 * v + 7}\n" for v in read_labels(data / "truth.txt")))
+        base = ["cluster", "--data", str(data), "--method", "glrr-f", "--lambda", "0.1",
+                "--clusters", "4", "--seed", "13"]
+        capsys.readouterr()
+        assert main(base + ["--truth", str(data / "truth.txt"), "--out", str(tmp_path / "d")]) == 0
+        dense_out = capsys.readouterr().out
+        assert main(base + ["--truth", str(sparse), "--out", str(tmp_path / "s")]) == 0
+        assert capsys.readouterr().out == dense_out
+        for name in ("Z.mat", "labels.txt", "report.txt"):
+            assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "d" / name).read_bytes()
+
     def test_cli_accuracy_equals_library(self, tmp_path, capsys):
         data = run_synth(tmp_path, seed=13)
         out = tmp_path / "racc"
@@ -525,6 +539,23 @@ class TestEvalCommand:
         ).accuracy
         assert printed.startswith(f"accuracy {direct:.4f}")
 
+    def test_ids_need_not_be_contiguous(self, tmp_path, capsys):
+        pred = tmp_path / "pred.txt"
+        truth = tmp_path / "truth.txt"
+        pred.write_text("0\n0\n1\n1\n")
+        truth.write_text("10\n10\n20\n20\n")
+        assert main(["eval", "--pred", str(pred), "--truth", str(truth)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == ("accuracy 1.0000 (100.00%)\nconfusion (rows: predicted, cols: true):\n"
+                       "2 0\n0 2\n")
+        # ids are ranked, not read as cluster numbers: -5 < 7 < 30
+        truth.write_text("30\n-5\n-5\n7\n")
+        assert main(["eval", "--pred", str(pred), "--truth", str(truth)]) == 0
+        assert capsys.readouterr().out == (
+            "accuracy 0.5000 (50.00%)\nconfusion (rows: predicted, cols: true):\n"
+            "1 0 1\n1 1 0\n0 0 0\n")
+
     def test_length_mismatch(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -803,8 +834,7 @@ def test_out_of_memory_is_exit_2(method, small_dataset, tmp_path, monkeypatch, c
         raise MemoryError("Unable to allocate 11.9 GiB for an array with shape "
                           "(40000, 40000) and data type float64")
 
-    for mod in ("kernels", "closed_form"):
-        monkeypatch.setattr(f"grasslrr.{mod}.assemble_gram", exhausted)
+    monkeypatch.setattr("grasslrr.kernels.assemble_gram", exhausted)
     capsys.readouterr()
     code = main(["cluster", "--data", str(small_dataset), "--method", method,
                  "--lambda", "1", "--clusters", "2", "--out", str(tmp_path / "o")])

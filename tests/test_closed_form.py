@@ -203,7 +203,6 @@ class TestKglrrSolve:
         assert report.kept_count == 1
 
     def test_one_eigendecomposition_per_solve(self, monkeypatch):
-        import grasslrr.closed_form
         import grasslrr.kernels
 
         calls = []
@@ -214,7 +213,6 @@ class TestKglrrSolve:
             return real(A)
 
         monkeypatch.setattr(grasslrr.kernels, "sym_eig", counting)
-        monkeypatch.setattr(grasslrr.closed_form, "sym_eig", counting)
         rng = np.random.default_rng(15)
         points = [random_point(rng, 5, 2) for _ in range(9)]
         for kind in ("projection", "cc-sum"):

@@ -32,7 +32,7 @@ from grasslrr import (
     orthonormalize,
     synth_union,
 )
-from grasslrr import clustering
+from grasslrr import clustering, parallel
 from grasslrr.rng import SplitMix64
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -655,16 +655,16 @@ class TestCheckMemory:
 
     def test_page_probe(self, monkeypatch):
         pages = {"SC_PHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}
-        monkeypatch.setattr(clustering.os, "sysconf", pages.__getitem__)
-        assert clustering.page_bytes("SC_PHYS_PAGES") == 4096 * 1000
+        monkeypatch.setattr(parallel.os, "sysconf", pages.__getitem__)
+        assert parallel.page_bytes("SC_PHYS_PAGES") == 4096 * 1000
 
         def unknown(name):
             raise ValueError(f"unrecognized configuration name {name!r}")
 
-        monkeypatch.setattr(clustering.os, "sysconf", unknown)
-        assert clustering.page_bytes("SC_PHYS_PAGES") is None
-        monkeypatch.delattr(clustering.os, "sysconf")
-        assert clustering.page_bytes("SC_AVPHYS_PAGES") is None
+        monkeypatch.setattr(parallel.os, "sysconf", unknown)
+        assert parallel.page_bytes("SC_PHYS_PAGES") is None
+        monkeypatch.delattr(parallel.os, "sysconf")
+        assert parallel.page_bytes("SC_AVPHYS_PAGES") is None
 
 
 class TestClusterLabelsType:

@@ -299,7 +299,7 @@ class TestGramRowThreads:
         assemble_gram(points, KernelSpec(kind="projection"))
         assert started == []
         assemble_gram(points, KernelSpec(kind="cc-sum"))
-        assert 1 <= len(started) <= 3  # the pool may reuse a thread that finished early
+        assert 1 <= len(started) <= 4  # the pool may reuse a thread that finished early
 
 
 class TestPsdClamp:
