@@ -29,7 +29,6 @@ from .dataio import (
     Manifest,
     SynthSpec,
     build_point,
-    load_dataset,
     load_manifest,
     read_labels,
     read_matrix,

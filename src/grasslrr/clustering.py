@@ -74,7 +74,7 @@ class ClusterLabels:
     n_clusters: int
 
     def __post_init__(self):
-        lab = np.asarray(self.labels, dtype=np.int64)
+        lab = np.array(self.labels, dtype=np.int64)  # a copy: the caller's array stays writeable
         if lab.ndim != 1:
             raise InvalidInputError("labels must be 1-D")
         if lab.size < self.n_clusters:

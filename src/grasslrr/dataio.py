@@ -8,7 +8,9 @@ float64 bit fields; the reader converts a whole file of either form in one
 bulk pass, keeping the per-token parser for files mixing the two and for
 the positioned error messages.  Manifests hold one
 "<relative-path><TAB><label>" entry per line and ``#`` comments; like every
-text input they are read through ``read_lines``.
+text input they are read through ``read_lines``.  ``load_points`` is the one
+path from a manifest to Grassmann points: each entry's matrix is read and
+embedded once, in forked workers when the files are large enough.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ class ImageSet:
 
     id: str
     samples: np.ndarray
-    label: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "samples", as_matrix(self.samples, f"samples[{self.id}]"))
@@ -269,58 +270,48 @@ def load_manifest(path) -> Manifest:
     return Manifest(entries=entries, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def _read_set(base_dir: str, rel: str, label: int, d: int | None) -> ImageSet:
+def _read_set(base_dir: str, rel: str, d: int | None) -> ImageSet:
     full = os.path.join(base_dir, rel)
     if not os.path.exists(full):
         raise InvalidInputError(f"dataset file not found: {full}")
     samples = read_matrix(full)
     if d is not None and samples.shape[0] != d:
         raise InvalidInputError(f"{full}: sample dimension {samples.shape[0]} differs from {d}")
-    return ImageSet(id=rel, samples=samples, label=label)
-
-
-def _read_sets(base_dir: str, entries, d: int) -> list[ImageSet]:
-    return [_read_set(base_dir, rel, label, d) for rel, label in entries]
-
-
-def load_dataset(manifest: Manifest) -> list[ImageSet]:
-    """Every entry's sample matrix, in order; each must have entry 0's sample dimension."""
-    if not manifest.entries:
-        return []
-    first = _read_set(manifest.base_dir, *manifest.entries[0], None)
-    return [first] + _read_sets(manifest.base_dir, manifest.entries[1:], first.samples.shape[0])
+    return ImageSet(id=rel, samples=samples)
 
 
 def _embed_chunk(base_dir: str, entries, d: int, p: int, standardize: bool, head: list):
-    """The bases of ``head``'s sets, then of ``entries``' sets, as one (m, d, p) array.
+    """``build_point`` of ``head``'s sets, then of ``entries``' sets.
 
-    Returns (bases, None), or (None, the first build error), which waits
+    Returns (points, None), or (None, the first build error), which waits
     until every file of the chunk is read; a read error is raised.
     """
-    sets = [*head, *_read_sets(base_dir, entries, d)]
+    sets = [*head, *(_read_set(base_dir, rel, d) for rel, _ in entries)]
     try:
-        return np.array([build_point(s, p, standardize).basis for s in sets]), None
+        return [build_point(s, p, standardize) for s in sets], None
     except (GrassLrrError, np.linalg.LinAlgError, MemoryError) as exc:
         return None, exc
 
 
-def load_points(manifest: Manifest, p: int | None = None, standardize: bool = False,
-                workers: int | None = None) -> list[GrassmannPoint]:
-    """``build_point`` of every entry of ``load_dataset(manifest)``, in manifest order.
+def load_points(manifest: Manifest, p: int | None = None,
+                standardize: bool = False) -> list[GrassmannPoint]:
+    """``build_point`` of every entry's sample matrix, in manifest order.
 
-    ``p`` defaults to the smaller side of entry 0's matrix.  Entry 0 is read
-    here first; then the entries are split into ``workers`` contiguous chunks
-    (``load_workers`` when None), which ``parallel.ordered_map`` reads and
-    embeds in that many forked processes while this one waits, or here when
-    there is one.  The result and every error are the serial loader's: the
-    first failing read in manifest order, and a build error only once every
-    file has been read.
+    ``p`` defaults to the smaller side of entry 0's matrix, and every entry
+    must have entry 0's sample dimension.  Entry 0 is read here first; then
+    the entries are split into ``load_workers`` contiguous chunks, which
+    ``parallel.ordered_map`` reads and embeds in that many forked processes
+    while this one waits, or here when there is one.  A worker sends back the
+    points it built, so each point is built once.  The result and every error
+    are the serial loader's: the first failing read in manifest order, and a
+    build error only once every file has been read.
     """
     entries, base = manifest.entries, manifest.base_dir
     if not entries:
         return []
-    workers = max(1, min(load_workers(manifest) if workers is None else workers, len(entries)))
-    first = _read_set(base, *entries[0], None)
+    # at most one chunk per entry, so entry 0 heads exactly one
+    workers = min(load_workers(manifest), len(entries))
+    first = _read_set(base, entries[0][0], None)
     d, p = first.samples.shape[0], min(first.samples.shape) if p is None else p
     bounds = [len(entries) * c // workers for c in range(workers + 1)]
     jobs = [(base, entries[max(a, 1) : b], d, p, standardize, [first] if a == 0 else [])
@@ -332,7 +323,10 @@ def load_points(manifest: Manifest, p: int | None = None, standardize: bool = Fa
     for _, error in results:
         if error is not None:
             raise error
-    return [GrassmannPoint(basis=b) for bases, _ in results for b in bases]
+    points = [q for chunk, _ in results for q in chunk]
+    for q in points:  # a forked worker's bases come back unpickled, and writeable
+        q.basis.setflags(write=False)
+    return points
 
 
 def load_workers(manifest: Manifest) -> int:

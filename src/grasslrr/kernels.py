@@ -52,7 +52,6 @@ class KernelMatrix:
     """N x N Gram matrix, its eigendecomposition, and a record of any PSD repair applied."""
 
     values: np.ndarray
-    spec: KernelSpec
     eig: SymEig
     clamp_magnitude: float = 0.0
 
@@ -140,7 +139,7 @@ def gram(points: list[GrassmannPoint], spec: KernelSpec) -> KernelMatrix:
     """Kernel Gram matrix over a point set, symmetric by construction, repaired to PSD."""
     values, eig, magnitude = psd_clamp(assemble_gram(points, spec))
     values.setflags(write=False)
-    return KernelMatrix(values=values, spec=spec, eig=eig, clamp_magnitude=magnitude)
+    return KernelMatrix(values=values, eig=eig, clamp_magnitude=magnitude)
 
 
 def _spectrum(G) -> SymEig:

@@ -675,3 +675,12 @@ class TestClusterLabelsType:
             ClusterLabels(labels=np.array([0, -1]), n_clusters=2)
         ok = ClusterLabels(labels=np.array([0, 1, 2]), n_clusters=3)
         assert ok.n_clusters == 3
+
+    def test_freezes_a_copy_of_the_callers_array(self):
+        a = np.array([0, 1, 1], dtype=np.int64)
+        c = ClusterLabels(labels=a, n_clusters=2)
+        assert a.flags.writeable
+        assert c.labels is not a
+        assert not c.labels.flags.writeable
+        a[0] = 1
+        assert c.labels.tolist() == [0, 1, 1]

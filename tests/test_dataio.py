@@ -16,7 +16,6 @@ from grasslrr import (
     SynthSpec,
     accuracy,
     build_point,
-    load_dataset,
     load_manifest,
     orthonormalize,
     read_labels,
@@ -28,6 +27,7 @@ from grasslrr import (
 )
 from grasslrr.dataio import load_points, load_workers
 from grasslrr.kernels import principal_angle_cosines
+from grasslrr.manifold import GrassmannPoint
 from grasslrr.parallel import worker_count
 from grasslrr.rng import SplitMix64, mix64, substream_states, units
 from oracles import grassmann_distance, k_projection, load_report
@@ -162,14 +162,16 @@ class TestManifest:
             [("a.mat", 1, rng.standard_normal((6, 3))), ("b.mat", 0, rng.standard_normal((6, 2)))],
         )
         manifest = load_manifest(manifest_path)
-        sets = load_dataset(manifest)
-        assert [s.id for s in sets] == ["a.mat", "b.mat"]
-        assert [s.label for s in sets] == [1, 0]
+        assert manifest.entries == [("a.mat", 1), ("b.mat", 0)]
+        points = load_points(manifest, 2)
+        assert [q.basis.tobytes() for q in points] == [
+            orthonormalize(read_matrix(tmp_path / name), 2).basis.tobytes()
+            for name in ("a.mat", "b.mat")]
 
     def test_empty_manifest(self, tmp_path):
         manifest = tmp_path / "manifest.txt"
         manifest.write_text("# nothing here\n")
-        assert load_dataset(load_manifest(manifest)) == []
+        assert load_points(load_manifest(manifest)) == []
 
     def test_duplicate_entry(self, tmp_path):
         manifest = tmp_path / "manifest.txt"
@@ -181,8 +183,8 @@ class TestManifest:
         manifest = tmp_path / "manifest.txt"
         manifest.write_text("ghost.mat\t0\n")
         with pytest.raises(InvalidInputError) as err:
-            load_dataset(load_manifest(manifest))
-        assert "ghost.mat" in str(err.value)
+            load_points(load_manifest(manifest))
+        assert str(err.value) == f"dataset file not found: {tmp_path / 'ghost.mat'}"
 
     def test_inconsistent_dimension(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -190,8 +192,9 @@ class TestManifest:
             tmp_path,
             [("a.mat", 0, rng.standard_normal((6, 3))), ("b.mat", 1, rng.standard_normal((7, 3)))],
         )
-        with pytest.raises(InvalidInputError):
-            load_dataset(load_manifest(manifest_path))
+        with pytest.raises(InvalidInputError) as err:
+            load_points(load_manifest(manifest_path))
+        assert str(err.value) == f"{tmp_path / 'b.mat'}: sample dimension 7 differs from 6"
 
     def test_negative_label_rejected(self, tmp_path):
         manifest = tmp_path / "manifest.txt"
@@ -251,6 +254,10 @@ LOADER_FAILURES = {
 }
 
 
+def patch_workers(monkeypatch, workers):
+    monkeypatch.setattr(dataio, "load_workers", lambda manifest: workers)
+
+
 class TestParallelLoader:
     """``load_points`` on 1, 2 or 3 processes: the serial loader's points and errors."""
 
@@ -259,17 +266,29 @@ class TestParallelLoader:
         return [rng.standard_normal((12, 5)) for _ in range(7)]
 
     @pytest.mark.parametrize("form", ["hex", "decimal"])
-    def test_points_bit_identical(self, tmp_path, form):
+    def test_points_bit_identical(self, tmp_path, monkeypatch, form):
         manifest = write_sets(tmp_path, self.mats(), form)
-        expected = [build_point(s, 5).basis for s in load_dataset(manifest)]
-        for workers in (1, 2, 3, 9):
-            points = load_points(manifest, None, False, workers)
-            assert [q.basis.tobytes() for q in points] == [b.tobytes() for b in expected]
+        expected = [build_point(ImageSet(id=rel, samples=read_matrix(tmp_path / rel)), 5)
+                    .basis.tobytes() for rel, _ in manifest.entries]
+        calls, post_init = [], GrassmannPoint.__post_init__
+
+        def counted(point):
+            calls.append(point)  # a forked worker appends to its own copy
+            post_init(point)
+
+        monkeypatch.setattr(GrassmannPoint, "__post_init__", counted)
+        # 9 workers for 7 entries run as 7 chunks; 9 would start two chunks at entry 0
+        for workers, built_here in ((1, 7), (2, 0), (3, 0), (9, 0)):
+            patch_workers(monkeypatch, workers)
+            calls.clear()
+            points = load_points(manifest)
+            assert len(calls) == built_here
+            assert [q.basis.tobytes() for q in points] == expected
             assert not any(q.basis.flags.writeable for q in points)
             assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("case", sorted(LOADER_FAILURES))
-    def test_first_failure_in_manifest_order(self, tmp_path, case):
+    def test_first_failure_in_manifest_order(self, tmp_path, monkeypatch, case):
         changes, standardize, expected = LOADER_FAILURES[case]
         mats = self.mats()
         write_sets(tmp_path, mats)
@@ -284,17 +303,19 @@ class TestParallelLoader:
         manifest = load_manifest(tmp_path / "manifest.txt")
         raised = []
         for workers in (1, 2, 3):
+            patch_workers(monkeypatch, workers)
             with pytest.raises(errors.GrassLrrError) as err:
-                load_points(manifest, 2, standardize, workers)
+                load_points(manifest, 2, standardize)
             assert str(err.value) == expected.format(dir=tmp_path)
             assert multiprocessing.active_children() == []
             raised.append(err.value)
         assert len({type(exc) for exc in raised}) == 1
         assert {vars(exc).get("achieved_rank") for exc in raised} in ({None}, {1})
 
-    def test_empty_manifest(self, tmp_path):
+    def test_empty_manifest(self, tmp_path, monkeypatch):
         (tmp_path / "manifest.txt").write_text("# nothing\n")
-        assert load_points(load_manifest(tmp_path / "manifest.txt"), None, False, 2) == []
+        patch_workers(monkeypatch, 2)
+        assert load_points(load_manifest(tmp_path / "manifest.txt")) == []
 
 
 class TestLoadWorkers:
