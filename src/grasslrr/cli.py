@@ -153,7 +153,8 @@ def _load_points(args) -> list:
     if os.path.isdir(manifest_path):
         manifest_path = os.path.join(manifest_path, "manifest.txt")
     manifest: Manifest = load_manifest(manifest_path)
-    check_memory(len(manifest.entries), page_bytes("SC_PHYS_PAGES"))  # before any matrix file
+    # before any matrix file
+    check_memory(len(manifest.entries), page_bytes("SC_PHYS_PAGES"), args.restarts, args.clusters)
     points = load_points(manifest, args.p, args.standardize)
     if not points:
         raise InvalidInputError(f"{manifest_path}: manifest lists no data")

@@ -72,16 +72,14 @@ def glrr_f_solve(G, lam: float) -> tuple[LowRankCoefficients, ClosedFormReport]:
         raise InvalidConfigError(f"lambda must be positive and finite, got {lam}")
     eig = _spectrum(G)
     sigma = eig.eigenvalues
-    U = eig.eigenvectors
 
     cutoff = EIG_ZERO_RTOL * max(sigma[0], 0.0)
     effective = np.where(sigma > cutoff, sigma, 0.0)
     shrunk = np.where(effective > lam, 1.0 - lam / np.where(effective > lam, effective, 1.0), 0.0)
     kept = int(np.sum(shrunk > 0.0))
-    Z = (U * shrunk) @ U.T
-    Z = (Z + Z.T) / 2.0
+    Z = eig.rebuild(shrunk)
 
-    # All traces diagonalize in U: tr(ZG) = sum f_i sigma_i, etc.
+    # All traces diagonalize in the eigenbasis: tr(ZG) = sum f_i sigma_i, etc.
     residual_sq = float(np.sum(sigma) - 2.0 * np.sum(shrunk * sigma) + np.sum(shrunk**2 * sigma))
     nuclear = float(np.sum(shrunk))
     report = ClosedFormReport(

@@ -38,7 +38,7 @@ from .admm import AdmmConfig, admm_solve
 from .closed_form import LowRankCoefficients, glrr_f_solve
 from .errors import InvalidConfigError, InvalidInputError
 from .kernels import KernelSpec, gram
-from .manifold import GrassmannPoint, as_matrix, canonical_signs
+from .manifold import GrassmannPoint, as_matrix, canonical_signs, sym_eig
 from .parallel import ordered_map, page_bytes, system_cpus, worker_count
 from .rng import substream_states, units
 
@@ -50,6 +50,9 @@ _TINY = np.finfo(np.float64).smallest_subnormal
 SWEEP_BYTES_PER_N2 = 16 * 8
 # the N x N Gram matrix and its eigenvectors, which every method holds for the whole run
 GRAM_BYTES_PER_N2 = 2 * 8
+# k-means' (restarts, N, k) batch arrays: tracemalloc peaks were 3.9-6.5 times one
+# such float64 array over five shapes, so three of them stay a lower bound
+KMEANS_BYTES_PER_ENTRY = 3 * 8
 
 
 @dataclass(frozen=True)
@@ -250,9 +253,10 @@ def kmeans(
 def ncut(W, cfg: NcutConfig) -> ClusterLabels:
     """Normalized-cuts labels from the symmetric normalized Laplacian.
 
-    Eigenvectors of the ``cfg.n_clusters`` smallest eigenvalues of
-    L = I - D^{-1/2} W D^{-1/2} (zero-degree rows get D^{-1/2} = 0), sign
-    canonicalized and row normalized, then seeded k-means.
+    ``sym_eig``'s eigenvectors of the ``cfg.n_clusters`` smallest eigenvalues
+    of L = I - D^{-1/2} W D^{-1/2} (zero-degree rows get D^{-1/2} = 0; the
+    last columns, reversed), sign canonicalized and row normalized, then k-means.
+    An L asymmetric by more than 1e-8 is refused, as ``sym_eig`` refuses it.
     """
     W = as_matrix(W, "W")
     n = W.shape[0]
@@ -262,8 +266,7 @@ def ncut(W, cfg: NcutConfig) -> ClusterLabels:
     degree = W.sum(axis=1)
     inv_sqrt = np.where(degree > 0.0, 1.0 / np.sqrt(np.where(degree > 0.0, degree, 1.0)), 0.0)
     L = np.eye(n) - (inv_sqrt[:, None] * W) * inv_sqrt[None, :]
-    eigvals, eigvecs = np.linalg.eigh((L + L.T) / 2.0)
-    emb = eigvecs[:, : cfg.n_clusters]
+    emb = sym_eig(L).eigenvectors[:, ::-1][:, : cfg.n_clusters]
     emb = emb * canonical_signs(emb)
 
     norms = np.linalg.norm(emb, axis=1)
@@ -355,18 +358,20 @@ def _system_workers(n_lambdas: int, n: int) -> int:
                          page_bytes("SC_AVPHYS_PAGES"))
 
 
-def check_memory(n: int, phys_bytes: int | None) -> None:
-    """Refuse ``n`` points whose Gram matrix and eigenvectors alone exceed ``phys_bytes``.
+def check_memory(n: int, phys_bytes: int | None, restarts: int = 0, clusters: int = 0) -> None:
+    """Refuse ``n`` points whose Gram matrix, or k-means batch, alone exceeds ``phys_bytes``.
 
-    ``GRAM_BYTES_PER_N2`` bytes per N^2 are a lower bound on any run's peak,
-    so no run that fits is refused; an unknown ``phys_bytes`` refuses none.
+    ``GRAM_BYTES_PER_N2`` bytes per N^2, and ``KMEANS_BYTES_PER_ENTRY`` per
+    entry of ``restarts`` x N x ``clusters`` (at most N of them), are lower
+    bounds on a run's peak, so no run that fits is refused; an unknown
+    ``phys_bytes`` refuses none.
     """
-    need = GRAM_BYTES_PER_N2 * n * n
-    if phys_bytes is not None and need > phys_bytes:
-        raise InvalidInputError(
-            f"N={n} points need at least {need} bytes for the Gram matrix and its "
-            f"eigenvectors; physical memory is {phys_bytes} bytes"
-        )
+    kmeans_bytes = KMEANS_BYTES_PER_ENTRY * restarts * n * min(clusters, n)
+    for need, what in ((GRAM_BYTES_PER_N2 * n * n, "the Gram matrix and its eigenvectors"),
+                       (kmeans_bytes, f"{restarts} k-means restarts of {clusters} clusters")):
+        if phys_bytes is not None and need > phys_bytes:
+            raise InvalidInputError(f"N={n} points need at least {need} bytes for {what}; "
+                                    f"physical memory is {phys_bytes} bytes")
 
 
 def cluster_pipeline(

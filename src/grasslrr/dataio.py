@@ -351,10 +351,12 @@ def build_point(image_set: ImageSet, p: int, standardize: bool = False) -> Grass
     """Subspace basis from the first p left singular vectors of the sample matrix.
 
     ``standardize`` centers and scales each column (sample) to mean zero and
-    unit variance first; off by default since it is dataset-dependent.
+    unit variance first; off by default since it is dataset-dependent.  A power-of-two
+    scale per column first (exact, and lost in the result) keeps its squares in range.
     """
     samples = image_set.samples
     if standardize:
+        samples = np.ldexp(samples, -np.frexp(np.max(np.abs(samples), axis=0))[1])
         mean = samples.mean(axis=0, keepdims=True)
         std = samples.std(axis=0, keepdims=True)
         if np.any(std == 0.0):

@@ -71,8 +71,8 @@ def psd_clamp(K) -> tuple[np.ndarray, SymEig, float]:
     Returns the (possibly unchanged) matrix, its post-repair
     eigendecomposition, so a caller needs no second one, and the magnitude of
     the most negative pre-clamp eigenvalue (0.0 when no repair was needed).
-    Inputs whose smallest eigenvalue is within -1e-8 of the largest are
-    returned untouched.
+    A repair is ``SymEig.rebuild`` of the clamped eigenvalues; inputs whose
+    smallest eigenvalue is within -1e-8 of the largest are returned untouched.
     """
     K = as_matrix(K, "K")
     eig = sym_eig(K)
@@ -82,8 +82,7 @@ def psd_clamp(K) -> tuple[np.ndarray, SymEig, float]:
     kept = np.maximum(w, 0.0)
     kept.setflags(write=False)
     V = eig.eigenvectors
-    repaired = (V * kept) @ V.T
-    return (repaired + repaired.T) / 2.0, SymEig(eigenvalues=kept, eigenvectors=V), float(-w[-1])
+    return eig.rebuild(kept), SymEig(eigenvalues=kept, eigenvectors=V), float(-w[-1])
 
 
 def _kernel_row(cross: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -148,9 +147,6 @@ def _spectrum(G) -> SymEig:
 
 
 def kernel_sqrt(K) -> np.ndarray:
-    """Symmetric PSD square root U D^{1/2} U^T of a (post-clamp) kernel matrix."""
+    """Symmetric PSD square root U D^{1/2} U^T of a (post-clamp) kernel matrix, by ``rebuild``."""
     eig = _spectrum(K)
-    roots = np.sqrt(np.maximum(eig.eigenvalues, 0.0))
-    V = eig.eigenvectors
-    S = (V * roots) @ V.T
-    return (S + S.T) / 2.0
+    return eig.rebuild(np.sqrt(np.maximum(eig.eigenvalues, 0.0)))

@@ -1,11 +1,11 @@
-"""Orthonormal-basis subspaces and the symmetric-matrix embedding between them.
+"""Orthonormal-basis subspaces, their embedding, and the one spectral seam.
 
 A data object is a p-dimensional subspace of R^d held as a d x p orthonormal
-basis.  Subspaces are compared through the projection embedding X -> X X^T,
-so every quantity downstream depends only on the span, never on the
-representative basis.
+basis, compared through the projection embedding X -> X X^T, so everything
+downstream depends only on the span.  Every N x N eigendecomposition, of a
+Gram matrix or of the ncut Laplacian, is ``sym_eig``; ``SymEig.rebuild``
+forms V f(w) V^T from one.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -41,6 +41,11 @@ class SymEig:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+    def rebuild(self, values: np.ndarray) -> np.ndarray:
+        """V diag(values) V^T for these eigenvectors V, made exactly symmetric as (M + M^T)/2."""
+        M = (self.eigenvectors * values) @ self.eigenvectors.T
+        return (M + M.T) / 2.0
 
 
 @dataclass(frozen=True)

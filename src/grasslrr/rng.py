@@ -80,21 +80,22 @@ class SplitMix64:
         return out
 
 
-def substream_states(seed: int, count: int) -> np.ndarray:
-    """The uint64 states of ``SplitMix64.substream(seed, r)`` for r < count, for ``units``."""
-    return np.array([SplitMix64.substream(seed, r)._state for r in range(count)], dtype=_U64)
-
-
-def units(states: np.ndarray) -> np.ndarray:
-    """Advance each stream state of ``states`` in place by one word; each stream's ``unit()``.
-
-    numpy's uint64 array arithmetic wraps modulo 2**64, as the stream's
-    definition does, so every value is bit-identical to ``SplitMix64.unit``.
-    """
-    states += _U64(_GOLDEN)
-    z = states ^ (states >> _U64(30))
+def _mix64_words(words: np.ndarray) -> np.ndarray:
+    """``mix64`` of each word of a uint64 array, as a new array (uint64 arithmetic wraps)."""
+    z = words ^ (words >> _U64(30))
     z *= _U64(0xBF58476D1CE4E5B9)
     z ^= z >> _U64(27)
     z *= _U64(0x94D049BB133111EB)
     z ^= z >> _U64(31)
-    return (z >> _U64(11)).astype(np.float64) * 2.0**-53
+    return z
+
+
+def substream_states(seed: int, count: int) -> np.ndarray:
+    """The uint64 states of ``SplitMix64.substream(seed, r)`` for r < count, for ``units``."""
+    return _mix64_words(np.arange(1, count + 1, dtype=_U64) * _U64(_GOLDEN) + _U64(seed & _MASK64))
+
+
+def units(states: np.ndarray) -> np.ndarray:
+    """Advance each stream state of ``states`` in place by one word; each stream's ``unit()``."""
+    states += _U64(_GOLDEN)
+    return (_mix64_words(states) >> _U64(11)).astype(np.float64) * 2.0**-53

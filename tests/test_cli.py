@@ -13,7 +13,7 @@ import pytest
 import grasslrr
 
 from grasslrr import accuracy as lib_accuracy
-from grasslrr import ClusterLabels, clustering, dataio, read_labels, read_matrix
+from grasslrr import ClusterLabels, clustering, dataio, read_labels, read_matrix, write_matrix
 from grasslrr.cli import main
 from grasslrr.errors import NumericalDivergenceError
 from oracles import load_report
@@ -450,7 +450,7 @@ def force_workers(monkeypatch, count):
 
 class TestSweepBuildsOnce:
     """A λ sweep builds its Gram matrix and its eigendecomposition once, for every
-    method, also with two λ values in flight."""
+    method, also with two λ values in flight; each λ's ncut adds its Laplacian's."""
 
     @pytest.mark.parametrize("method, lambdas, extra", [
         ("glrr-f", "0.1,0.5,1", []),
@@ -462,6 +462,7 @@ class TestSweepBuildsOnce:
         data = run_synth(tmp_path, seed=37)
         force_workers(monkeypatch, 2)
         grams = count_calls(monkeypatch, "kernels", "assemble_gram")
+        clamps = count_calls(monkeypatch, "kernels", "psd_clamp")
         eigs = count_calls(monkeypatch, "manifold", "sym_eig")
         code = main(["cluster", "--data", str(data), "--method", method,
                      "--lambda", lambdas, "--clusters", "4",
@@ -470,7 +471,8 @@ class TestSweepBuildsOnce:
         for lam in lambdas.split(","):
             assert (tmp_path / "o" / f"lam_{lam}" / "Z.mat").exists()
         assert len(grams) == 1
-        assert len(eigs) == 1
+        assert len(clamps) == 1
+        assert len(eigs) == 1 + len(lambdas.split(","))
 
 
 class TestSweepFailure:
@@ -928,6 +930,48 @@ def test_memory_floor_before_any_matrix_file(phys, expected, tmp_path, monkeypat
     assert out == ""
     assert err == f"error: {expected.format(data=data)}\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("restarts, clusters, phys, expected", [
+    (10**7, 3, 8 << 30, "N=12 points need at least 8640000000 bytes for 10000000 k-means "
+                        "restarts of 3 clusters; physical memory is 8589934592 bytes"),
+    (10**11, 2, 8 << 30, "N=12 points need at least 57600000000000 bytes for 100000000000 "
+                         "k-means restarts of 2 clusters; physical memory is 8589934592 bytes"),
+    (10**7, 2, 24 * 10**7 * 12 * 2, "dataset file not found: {data}/points/point_00.mat"),
+], ids=["restarts-1e7", "restarts-1e11", "just-fits"])
+def test_kmeans_batch_refused_before_any_matrix_file(restarts, clusters, phys, expected, tmp_path,
+                                                     monkeypatch, capsys):
+    # the page probe is patched and the manifest's files do not exist, so the refusal
+    # allocates nothing and reads no matrix file
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "manifest.txt").write_text(
+        "".join(f"points/point_{i:02d}.mat\t{i % 2}\n" for i in range(12)))
+    (tmp_path / "run.cfg").write_text(f"restarts={restarts}\n")
+    monkeypatch.setattr("grasslrr.cli.page_bytes", lambda pages: phys)
+    capsys.readouterr()
+    code = main(["cluster", "--config", str(tmp_path / "run.cfg"), "--data", str(data),
+                 "--method", "glrr-f", "--lambda", "1", "--clusters", str(clusters),
+                 "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {expected.format(data=data)}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_standardize_near_the_float64_limit_is_exit_0(small_dataset, tmp_path, capsys):
+    # unscaled, the std of this 1e300-scaled set overflows: numpy warns, and the basis
+    # build then reports a false rank deficiency (exit 2)
+    data = tmp_path / "data"
+    shutil.copytree(small_dataset, data)
+    path = data / "points" / "point_000.mat"
+    write_matrix(path, read_matrix(path) * 1e300)
+    capsys.readouterr()
+    code = main(["cluster", "--data", str(data), "--method", "glrr-f", "--standardize",
+                 "--lambda", "0.5", "--clusters", "2", "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_eval_empty_label_files_is_exit_2(tmp_path, capsys):

@@ -128,6 +128,16 @@ class TestGlrrFSolve:
         np.testing.assert_allclose(actual, np.sort(expected)[::-1], atol=1e-10)
         assert np.array_equal(Z.Z, Z.Z.T)
 
+    def test_z_is_rebuild_of_the_shrunk_spectrum(self):
+        rng = np.random.default_rng(8)
+        G = gram([random_point(rng, 6, 2) for _ in range(9)], KernelSpec(kind="projection"))
+        sigma = G.eig.eigenvalues
+        lam = 0.4 * float(sigma[0])
+        Z, _ = glrr_f_solve(G, lam)
+        eff = np.where(sigma > 1e-12 * sigma[0], sigma, 0.0)
+        shrunk = np.where(eff > lam, 1.0 - lam / np.where(eff > lam, eff, 1.0), 0.0)
+        assert Z.Z.tobytes() == G.eig.rebuild(shrunk).tobytes()
+
     def test_lambda_monotonicity(self):
         rng = np.random.default_rng(8)
         G = random_psd(rng, 8)

@@ -397,6 +397,20 @@ class TestNcut:
         with pytest.raises(InvalidConfigError):
             ncut(np.ones((3, 3)), NcutConfig(n_clusters=4))
 
+    def test_laplacian_goes_through_sym_eig(self, monkeypatch):
+        # the one spectral seam: ncut's only eigendecomposition is manifold.sym_eig's eigh
+        seam, solver = [], []
+        real_seam, real_eigh = clustering.sym_eig, np.linalg.eigh
+        monkeypatch.setattr(clustering, "sym_eig", lambda A: seam.append(A) or real_seam(A))
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: solver.append(A) or real_eigh(A))
+        W = np.zeros((9, 9))
+        W[:5, :5] = 1.0
+        W[5:, 5:] = 1.0
+        np.fill_diagonal(W, 0.0)
+        labels = ncut(W, NcutConfig(n_clusters=2, seed=0)).labels
+        assert same_partition(labels, [0] * 5 + [1] * 4, 2)
+        assert len(seam) == 1 and len(solver) == 1
+
 
 def two_cluster_points(seed=0, per_cluster=5):
     spec = SynthSpec(

@@ -413,6 +413,26 @@ class TestBuildPoint:
         direct = orthonormalize(standardized, 2)
         assert np.array_equal(point.basis, direct.basis)
 
+    @pytest.mark.parametrize("scale", [1e300, 1e-200, 1e-300])
+    def test_standardize_near_the_float64_limits(self, scale):
+        # unscaled, the squares in a column's std overflow at 1e300 (a warning, then a false
+        # rank deficiency) and underflow to a false constant column at 1e-200 and 1e-300
+        rng = np.random.default_rng(7)
+        samples = rng.standard_normal((8, 2)) @ rng.standard_normal((2, 5))
+        base = build_point(ImageSet(id="s", samples=samples), 2, standardize=True)
+        scaled = build_point(ImageSet(id="s", samples=samples * scale), 2, standardize=True)
+        gap = base.basis @ base.basis.T - scaled.basis @ scaled.basis.T
+        assert np.max(np.abs(gap)) <= 1e-12
+
+    def test_standardize_ignores_power_of_two_scales(self):
+        rng = np.random.default_rng(8)
+        samples = rng.standard_normal((8, 5)) * 3.0 + 5.0
+        base = build_point(ImageSet(id="s", samples=samples), 2, standardize=True)
+        for e in (-1000, -60, 1, 60, 1000):
+            scaled = build_point(ImageSet(id="s", samples=np.ldexp(samples, e)), 2,
+                                 standardize=True)
+            assert np.array_equal(scaled.basis, base.basis)
+
     def test_standardize_constant_column(self):
         samples = np.ones((5, 2))
         with pytest.raises(InvalidInputError):
@@ -577,6 +597,13 @@ class TestRng:
         b = SplitMix64(9)
         flat = [b.gaussian() for _ in range(6)]
         assert M.reshape(-1).tolist() == flat
+
+    @pytest.mark.parametrize("seed", [0, 7, -1, 2**63, 2**64 - 3, 2**70 + 5])
+    def test_substream_states_match_the_scalar_streams(self, seed):
+        states = substream_states(seed, 40)
+        assert states.dtype == np.uint64
+        assert states.tolist() == [SplitMix64.substream(seed, r)._state for r in range(40)]
+        assert substream_states(seed, 0).shape == (0,)
 
     def test_units_match_the_scalar_streams(self):
         seed, count = 2**64 - 3, 6

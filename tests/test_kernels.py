@@ -13,6 +13,7 @@ from grasslrr import (
     kernel_sqrt,
     orthonormalize,
     principal_angle_cosines,
+    sym_eig,
 )
 from grasslrr import kernels
 from grasslrr.closed_form import build_delta
@@ -259,9 +260,14 @@ class TestGramRowThreads:
         points = [random_point(rng, 7, 3) for _ in range(12)]
         real = kernels._kernel_row
         rows = []
+        # each stripe waits at its first row (0, 1 or 2) until all three have begun, so the
+        # pool must run them on three threads, however the scheduler orders the submits
+        started = threading.Barrier(3, timeout=10)
 
         def failing(cross, spec):
             rows.append(threading.get_ident())
+            if cross.shape[0] > 12 - 3:
+                started.wait()
             if cross.shape[0] == 12 - 4:  # row 4, which thread 1 of 3 computes
                 raise MemoryError("row 4")
             return real(cross, spec)
@@ -272,7 +278,7 @@ class TestGramRowThreads:
         with pytest.raises(MemoryError, match="row 4"):
             assemble_gram(points, KernelSpec(kind="cc-sum"))
         assert threading.active_count() == before
-        assert len(set(rows)) > 1
+        assert len(set(rows)) == 3
 
     def test_default_count(self, monkeypatch):
         monkeypatch.setattr(kernels, "system_cpus", lambda: 4)
@@ -327,6 +333,15 @@ class TestPsdClamp:
         assert np.linalg.eigvalsh(out)[0] >= -1e-10
         assert abs(magnitude - max(0.0, -w[0])) <= 1e-12
 
+    def test_repair_is_rebuild_of_the_clamped_spectrum(self):
+        rng = np.random.default_rng(21)
+        A = rng.standard_normal((7, 7))
+        out, eig, magnitude = psd_clamp(A + A.T)
+        assert magnitude > 0.0
+        assert out.tobytes() == eig.rebuild(eig.eigenvalues).tobytes()
+        assert out.tobytes() == sym_eig(A + A.T).rebuild(eig.eigenvalues).tobytes()
+        assert np.array_equal(out, out.T)
+
 
 class TestKernelSqrt:
     def test_identity(self):
@@ -342,6 +357,13 @@ class TestKernelSqrt:
         S = kernel_sqrt(K)
         assert np.array_equal(S, S.T)
         assert np.linalg.norm(S @ S - K) <= 1e-8 * np.linalg.norm(K)
+
+    def test_is_rebuild_of_the_roots(self):
+        rng = np.random.default_rng(22)
+        A = rng.standard_normal((6, 6))
+        eig = sym_eig(A @ A.T)
+        roots = np.sqrt(np.maximum(eig.eigenvalues, 0.0))
+        assert kernel_sqrt(A @ A.T).tobytes() == eig.rebuild(roots).tobytes()
 
     def test_accepts_kernel_matrix(self):
         rng = np.random.default_rng(21)

@@ -103,6 +103,23 @@ class TestSymEig:
         eig = sym_eig(A)
         assert np.isfinite(eig.eigenvalues).all()
 
+    def test_rebuild_is_the_reconstruction_it_replaced(self):
+        # the PSD repair, the kernel square root and the closed-form Z are rebuilds, so
+        # rebuild must give the bytes of (V * f) @ V.T symmetrized as (M + M.T) / 2
+        rng = np.random.default_rng(11)
+        A = rng.standard_normal((9, 9))
+        eig = sym_eig(A + A.T)
+        w, V = eig.eigenvalues, eig.eigenvectors
+        assert w[-1] < 0.0  # indefinite, so the clamp repairs
+        clamped = np.maximum(w, 0.0)
+        shrunk = np.where(w > 0.5, 1.0 - 0.5 / np.where(w > 0.5, w, 1.0), 0.0)
+        for values in (clamped, np.sqrt(clamped), shrunk, w):
+            M = (V * values) @ V.T
+            rebuilt = eig.rebuild(values)
+            assert rebuilt.tobytes() == ((M + M.T) / 2.0).tobytes()
+            assert np.array_equal(rebuilt, rebuilt.T)
+        np.testing.assert_allclose(eig.rebuild(w), A + A.T, atol=1e-12)
+
 
 class TestOrthonormalize:
     def test_identity_first_vectors(self):
