@@ -48,7 +48,9 @@ _TINY = np.finfo(np.float64).smallest_subnormal
 # the N x N float64 temporaries one lambda in flight may hold: tracemalloc peaks
 # were 5.8 N^2 doubles (glrr-f, N=500) and 13 N^2 (glrr-21, N=200), plus margin
 SWEEP_BYTES_PER_N2 = 16 * 8
-# the N x N Gram matrix and its eigenvectors, which every method holds for the whole run
+# the N x N Gram matrix and its eigenvectors, which exist together only while the
+# matrix is decomposed (tracemalloc peak 4.0 N^2 doubles at N=1000); every method
+# then holds the eigenvectors alone for the whole run
 GRAM_BYTES_PER_N2 = 2 * 8
 # k-means' (restarts, N, k) batch arrays: tracemalloc peaks were 3.9-6.5 times one
 # such float64 array over five shapes, so three of them stay a lower bound
@@ -256,7 +258,8 @@ def ncut(W, cfg: NcutConfig) -> ClusterLabels:
     ``sym_eig``'s eigenvectors of the ``cfg.n_clusters`` smallest eigenvalues
     of L = I - D^{-1/2} W D^{-1/2} (zero-degree rows get D^{-1/2} = 0; the
     last columns, reversed), sign canonicalized and row normalized, then k-means.
-    An L asymmetric by more than 1e-8 is refused, as ``sym_eig`` refuses it.
+    An L asymmetric by more than 1e-8 of its largest entry is refused, as ``sym_eig``
+    refuses it.
     """
     W = as_matrix(W, "W")
     n = W.shape[0]

@@ -6,7 +6,7 @@ and an affine blend of the summed-cosine and projection kernels.  Gram
 matrices are assembled row by row from one GEMM per row, symmetric by
 construction, and repaired to PSD by eigenvalue truncation when needed, with
 the repair magnitude recorded.  The eigendecomposition taken for the repair
-is kept with the matrix, so neither solver needs a second one: ``_spectrum``
+is all a ``KernelMatrix`` keeps, and all either solver reads: ``_spectrum``
 is where they, and ``kernel_sqrt``, get it.
 """
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
-from .manifold import GrassmannPoint, SymEig, as_matrix, check_same_shape, sym_eig
+from .manifold import GrassmannPoint, SymEig, check_same_shape, sym_eig
 from .parallel import ordered_map, system_cpus, worker_count
 
 KERNEL_KINDS = ("projection", "cc-max", "cc-sum", "ccp")
@@ -49,11 +49,15 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """N x N Gram matrix, its eigendecomposition, and a record of any PSD repair applied."""
+    """N x N Gram matrix held as its post-repair eigendecomposition, and the repair magnitude."""
 
-    values: np.ndarray
     eig: SymEig
     clamp_magnitude: float = 0.0
+
+    @property
+    def values(self) -> np.ndarray:
+        """The matrix itself, rebuilt from ``eig`` on each read; no solver reads it."""
+        return self.eig.rebuild(self.eig.eigenvalues)
 
 
 def principal_angle_cosines(X1: GrassmannPoint, X2: GrassmannPoint) -> np.ndarray:
@@ -65,24 +69,21 @@ def principal_angle_cosines(X1: GrassmannPoint, X2: GrassmannPoint) -> np.ndarra
     return out
 
 
-def psd_clamp(K) -> tuple[np.ndarray, SymEig, float]:
+def psd_clamp(K) -> tuple[SymEig, float]:
     """Truncate negative eigenvalues to zero; the Frobenius-nearest PSD matrix.
 
-    Returns the (possibly unchanged) matrix, its post-repair
-    eigendecomposition, so a caller needs no second one, and the magnitude of
-    the most negative pre-clamp eigenvalue (0.0 when no repair was needed).
-    A repair is ``SymEig.rebuild`` of the clamped eigenvalues; inputs whose
-    smallest eigenvalue is within -1e-8 of the largest are returned untouched.
+    Returns the repaired matrix's eigendecomposition, which its ``rebuild``
+    turns back into the matrix, and the magnitude of the most negative
+    pre-clamp eigenvalue (0.0 when no repair was needed).  Inputs whose
+    smallest eigenvalue is within -1e-8 of the largest keep ``sym_eig(K)``.
     """
-    K = as_matrix(K, "K")
     eig = sym_eig(K)
     w = eig.eigenvalues
     if w[-1] >= -PSD_RTOL * max(w[0], 0.0):
-        return K, eig, 0.0
+        return eig, 0.0
     kept = np.maximum(w, 0.0)
     kept.setflags(write=False)
-    V = eig.eigenvectors
-    return eig.rebuild(kept), SymEig(eigenvalues=kept, eigenvectors=V), float(-w[-1])
+    return SymEig(eigenvalues=kept, eigenvectors=eig.eigenvectors), float(-w[-1])
 
 
 def _kernel_row(cross: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -135,10 +136,8 @@ def gram_workers(n: int) -> int:
 
 
 def gram(points: list[GrassmannPoint], spec: KernelSpec) -> KernelMatrix:
-    """Kernel Gram matrix over a point set, symmetric by construction, repaired to PSD."""
-    values, eig, magnitude = psd_clamp(assemble_gram(points, spec))
-    values.setflags(write=False)
-    return KernelMatrix(values=values, eig=eig, clamp_magnitude=magnitude)
+    """Kernel Gram matrix over a point set: ``psd_clamp`` of ``assemble_gram``, no N x N copy."""
+    return KernelMatrix(*psd_clamp(assemble_gram(points, spec)))
 
 
 def _spectrum(G) -> SymEig:

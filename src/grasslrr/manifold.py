@@ -86,14 +86,15 @@ def canonical_signs(U: np.ndarray) -> np.ndarray:
 def sym_eig(A) -> SymEig:
     """Eigendecomposition of a (nearly) symmetric matrix, descending order.
 
-    Asymmetry up to 1e-8 in max norm is tolerated and symmetrized away;
+    Asymmetry up to 1e-8 of the largest entry, both in max norm, is tolerated
+    and symmetrized away, so the outcome does not depend on A's scale;
     anything larger is rejected.
     """
     A = as_matrix(A, "A")
     if A.shape[0] != A.shape[1]:
         raise InvalidInputError(f"matrix must be square, got {A.shape}")
-    if np.max(np.abs(A - A.T)) > SYMMETRY_TOL:
-        raise InvalidInputError("matrix asymmetry exceeds 1e-8")
+    if np.max(np.abs(A - A.T)) > SYMMETRY_TOL * np.max(np.abs(A)):
+        raise InvalidInputError("matrix asymmetry exceeds 1e-8 of its largest entry")
     sym = (A + A.T) / 2.0
     w, V = np.linalg.eigh(sym)
     return SymEig(eigenvalues=_frozen(w[::-1]), eigenvectors=_frozen(V[:, ::-1]))

@@ -22,6 +22,7 @@ from grasslrr import (
 )
 from grasslrr.admm import ETA_MARGIN, SVT_EIGH_GUARD, _svt
 from grasslrr.clustering import NcutConfig, affinity_from_Z, cluster_pipeline
+from grasslrr.kernels import KernelSpec, assemble_gram
 from oracles import e_step, z_step
 
 
@@ -378,7 +379,7 @@ class TestAdmmSolve:
         else:
             points = random_points(25, 16, 4, 2)
         n = len(points)
-        D = build_delta(points).values
+        D = assemble_gram(points, KernelSpec("projection"))
         w, V = np.linalg.eigh(D)
         Q = V[:, w > n * np.finfo(np.float64).eps * w[-1]]
         assert Q.shape[1] == 1 if case == "four-copies" else 1 < Q.shape[1] <= 10

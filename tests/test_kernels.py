@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 
@@ -17,7 +18,8 @@ from grasslrr import (
 )
 from grasslrr import kernels
 from grasslrr.closed_form import build_delta
-from grasslrr.kernels import assemble_gram, gram_workers, psd_clamp
+from grasslrr.kernels import KernelMatrix, assemble_gram, gram_workers, psd_clamp
+from grasslrr.manifold import SymEig
 from oracles import k_cc, k_ccp, k_projection
 
 
@@ -186,7 +188,8 @@ class TestGram:
             for kind, k in pairwise.items():
                 spec = KernelSpec(kind=kind, alpha=0.3 if kind == "ccp" else None)
                 raw = np.array([[k(a, b) for b in points] for a in points])
-                oracle, _, magnitude = psd_clamp(raw)
+                eig, magnitude = psd_clamp(raw)
+                oracle = eig.rebuild(eig.eigenvalues)
                 K = gram(points, spec)
                 assert np.max(np.abs(K.values - oracle)) <= 1e-12, (kind, n, d, p)
                 assert abs(K.clamp_magnitude - magnitude) <= 1e-12, (kind, n, d, p)
@@ -308,17 +311,51 @@ class TestGramRowThreads:
         assert 1 <= len(started) <= 4  # the pool may reuse a thread that finished early
 
 
+class TestKernelMatrix:
+    def test_holds_only_the_eigendecomposition(self):
+        assert [f.name for f in dataclasses.fields(KernelMatrix)] == ["eig", "clamp_magnitude"]
+
+    def test_repaired_gram_forms_no_matrix(self, monkeypatch):
+        # the cc-sum Gram matrix of this fixture needs repair (see
+        # test_stored_eigendecomposition_reconstructs_values)
+        rng = np.random.default_rng(23)
+        points = [random_point(rng, 5, 2) for _ in range(9)]
+        calls = []
+        real_rebuild = SymEig.rebuild
+        monkeypatch.setattr(SymEig, "rebuild",
+                            lambda self, values: (calls.append(1), real_rebuild(self, values))[1])
+        K = gram(points, KernelSpec(kind="cc-sum"))
+        assert K.clamp_magnitude > 0.0
+        assert calls == []
+
+    def test_values_is_a_read_only_rebuild(self):
+        rng = np.random.default_rng(23)
+        points = [random_point(rng, 5, 2) for _ in range(9)]
+        repaired = gram(points, KernelSpec(kind="cc-sum"))
+        plain = gram(points, KernelSpec(kind="projection"))
+        assert repaired.clamp_magnitude > 0.0 and plain.clamp_magnitude == 0.0
+        for K in (repaired, plain):
+            with pytest.raises(AttributeError):
+                K.values = np.zeros((9, 9))
+            assert K.values.tobytes() == K.eig.rebuild(K.eig.eigenvalues).tobytes()
+        # unrepaired, values is the assembled matrix up to rounding
+        raw = assemble_gram(points, KernelSpec(kind="projection"))
+        assert np.max(np.abs(plain.values - raw)) <= 1e-12 * np.max(np.abs(raw))
+
+
 class TestPsdClamp:
     def test_psd_unchanged(self):
         rng = np.random.default_rng(18)
         A = rng.standard_normal((5, 5))
         K = A @ A.T
-        out, _, magnitude = psd_clamp(K)
+        eig, magnitude = psd_clamp(K)
         assert magnitude == 0.0
-        assert out is K
+        assert eig.eigenvalues.tobytes() == sym_eig(K).eigenvalues.tobytes()
+        assert np.max(np.abs(eig.rebuild(eig.eigenvalues) - K)) <= 1e-12 * np.max(np.abs(K))
 
     def test_diagonal_truncation(self):
-        out, _, magnitude = psd_clamp(np.diag([1.0, -0.5]))
+        eig, magnitude = psd_clamp(np.diag([1.0, -0.5]))
+        out = eig.rebuild(eig.eigenvalues)
         np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
         assert abs(magnitude - 0.5) <= 1e-12
 
@@ -326,7 +363,8 @@ class TestPsdClamp:
         rng = np.random.default_rng(19)
         A = rng.standard_normal((5, 5))
         K = (A + A.T) / 2.0
-        out, _, magnitude = psd_clamp(K)
+        eig, magnitude = psd_clamp(K)
+        out = eig.rebuild(eig.eigenvalues)
         w, V = np.linalg.eigh(K)
         oracle = (V * np.maximum(w, 0.0)) @ V.T
         np.testing.assert_allclose(out, oracle, atol=1e-10)
@@ -336,9 +374,10 @@ class TestPsdClamp:
     def test_repair_is_rebuild_of_the_clamped_spectrum(self):
         rng = np.random.default_rng(21)
         A = rng.standard_normal((7, 7))
-        out, eig, magnitude = psd_clamp(A + A.T)
+        eig, magnitude = psd_clamp(A + A.T)
+        out = eig.rebuild(eig.eigenvalues)
         assert magnitude > 0.0
-        assert out.tobytes() == eig.rebuild(eig.eigenvalues).tobytes()
+        assert eig.eigenvalues.tobytes() == np.maximum(sym_eig(A + A.T).eigenvalues, 0.0).tobytes()
         assert out.tobytes() == sym_eig(A + A.T).rebuild(eig.eigenvalues).tobytes()
         assert np.array_equal(out, out.T)
 

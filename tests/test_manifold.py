@@ -5,6 +5,7 @@ from grasslrr import (
     GrassmannPoint,
     InvalidInputError,
     RankDeficientError,
+    glrr_f_solve,
     orthonormalize,
     project_embed,
     sym_eig,
@@ -102,6 +103,30 @@ class TestSymEig:
         A[0, 1] = 5e-9
         eig = sym_eig(A)
         assert np.isfinite(eig.eigenvalues).all()
+
+    def test_asymmetry_tolerance_scales_with_the_matrix(self):
+        # one ulp of asymmetry in a Gram matrix of entries near 1e12 is 4.9e-4 in
+        # absolute terms, but only 6.4e-17 of the largest entry
+        rng = np.random.default_rng(12)
+        B = rng.standard_normal((6, 4))
+        G = (B @ B.T) * 1e12
+        G[0, 1] = np.nextafter(G[0, 1], np.inf)
+        assert np.max(np.abs(G - G.T)) > 1e-8
+        assert np.max(np.abs(G - G.T)) <= 1e-15 * np.max(np.abs(G))
+        assert np.isfinite(sym_eig(G).eigenvalues).all()
+        Z, _ = glrr_f_solve(G, 0.5)
+        assert np.isfinite(Z.Z).all()
+
+    def test_asymmetry_rejected_at_any_scale(self):
+        # one entry 0.1% off is 2.2e-4 of the largest entry, even though every
+        # entry, and so the absolute asymmetry (3.0e-15), is far below 1e-8
+        rng = np.random.default_rng(13)
+        B = rng.standard_normal((6, 4))
+        G = (B @ B.T) * 1e-12
+        G[0, 1] *= 1.001
+        assert np.max(np.abs(G - G.T)) > 1e-5 * np.max(np.abs(G))
+        with pytest.raises(InvalidInputError, match="1e-8 of its largest entry"):
+            sym_eig(G)
 
     def test_rebuild_is_the_reconstruction_it_replaced(self):
         # the PSD repair, the kernel square root and the closed-form Z are rebuilds, so

@@ -4,9 +4,13 @@ Examples are derandomized (a fixed sequence per test) and small, so the
 suite stays deterministic and fast.
 """
 
+import contextlib
+import io
 import os
 import re
+import shutil
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -35,6 +39,7 @@ from grasslrr import (
 )
 from grasslrr import dataio
 from grasslrr.admm import SVT_EIGH_GUARD, _svt
+from grasslrr.cli import main
 from grasslrr.kernels import KERNEL_KINDS, KernelSpec, assemble_gram
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -489,3 +494,93 @@ def test_admm_dual_bound_never_exceeds_primal_bound(point_set, lam, max_iters):
     assert np.isfinite([report.primal_bound, report.dual_bound]).all()
     assert report.dual_bound <= report.primal_bound * (1.0 + 1e-12)
     assert report.relative_gap >= -1e-12
+
+
+# the cluster runs the exit-code contract covers: every method, and each cc kernel
+CLI_RUNS = (
+    ("--method", "glrr-f"),
+    ("--method", "glrr-21", "--max-iters", "20"),
+    ("--method", "kglrr", "--kernel", "cc-max"),
+    ("--method", "kglrr", "--kernel", "cc-sum"),
+    ("--method", "kglrr", "--kernel", "ccp"),
+)
+EXTREME_VALUES = (np.finfo(np.float64).max, -np.finfo(np.float64).max, np.finfo(np.float64).tiny,
+                  np.finfo(np.float64).smallest_subnormal, 1e300, -1e-300)
+
+# one mutation of a 12-point set of 6 x 2 hex matrices: a byte of one matrix file
+# replaced, inserted or deleted; a manifest or truth line replaced; every matrix
+# scaled by 2^k; or one matrix entry set to an extreme finite value
+set_mutations = st.one_of(
+    st.tuples(st.sampled_from(["replace-byte", "insert-byte", "delete-byte"]),
+              st.integers(0, 11), st.integers(0, 2**16), st.integers(0, 255)),
+    st.tuples(st.just("replace-line"), st.sampled_from(["manifest.txt", "truth.txt"]),
+              st.integers(0, 12), st.binary(max_size=24)),
+    st.tuples(st.just("rescale"), st.integers(-1074, 1074)),
+    st.tuples(st.just("extreme-entry"), st.integers(0, 11), st.integers(0, 5), st.integers(0, 1),
+              st.sampled_from(EXTREME_VALUES) | st.floats(allow_nan=False, allow_infinity=False)),
+)
+
+
+def write_hex(path, M):
+    """A matrix file of float.hex tokens; unlike write_matrix it also writes inf."""
+    rows = "".join(" ".join(map(float.hex, row)) + "\n" for row in M.tolist())
+    path.write_text(f"{M.shape[0]} {M.shape[1]}\n{rows}")
+
+
+def mutate(data, mutation):
+    kind, *args = mutation
+    matrices = sorted((data / "points").glob("*.mat"))
+    if kind.endswith("-byte"):
+        i, at, byte = args
+        raw = bytearray(matrices[i].read_bytes())
+        at %= len(raw)
+        if kind == "replace-byte":
+            raw[at] = byte
+        elif kind == "insert-byte":
+            raw.insert(at, byte)
+        else:
+            del raw[at]
+        matrices[i].write_bytes(bytes(raw))
+    elif kind == "replace-line":
+        name, at, line = args
+        lines = (data / name).read_bytes().split(b"\n")
+        lines[at % len(lines)] = line
+        (data / name).write_bytes(b"\n".join(lines))
+    elif kind == "rescale":
+        for path in matrices:
+            with np.errstate(over="ignore", under="ignore"):
+                write_hex(path, np.ldexp(read_matrix(path), args[0]))
+    else:
+        i, row, col, value = args
+        M = read_matrix(matrices[i])
+        M[row, col] = value
+        write_hex(matrices[i], M)
+
+
+@pytest.fixture(scope="module")
+def hex_set(tmp_path_factory):
+    out = tmp_path_factory.mktemp("hex") / "data"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--clusters", "3", "--per-cluster", "4", "--d", "6", "--p", "2",
+                     "--sigma", "0.05", "--seed", "5", "--out", str(out)]) == 0
+    return out
+
+
+@settings(PROPERTY, max_examples=50)
+@given(mutation=set_mutations, run=st.sampled_from(CLI_RUNS), standardize=st.booleans())
+# a set scaled near 1e300, whose unscaled std overflows under --standardize
+@example(mutation=("rescale", 997), run=CLI_RUNS[0], standardize=True)
+def test_cluster_exit_code_contract(hex_set, mutation, run, standardize):
+    # README: exit 0, 2 or 3, never a raw exception, and an error line for 2 and 3
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data"
+        shutil.copytree(hex_set, data)
+        mutate(data, mutation)
+        argv = ["cluster", "--data", str(data), "--truth", str(data / "truth.txt"), *run,
+                "--lambda", "0.5", "--clusters", "3", "--out", str(Path(tmp) / "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--standardize"] * standardize)
+    assert code in (0, 2, 3), code
+    if code != 0:
+        assert err.getvalue().startswith("error:"), err.getvalue()
