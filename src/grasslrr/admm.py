@@ -16,15 +16,15 @@ O(N^2) no matter how large the ambient dimension;  ``dense_reference``
 re-runs the identical iteration on explicit d x d slices to validate the
 reformulation.
 
-The loop runs in the Gram matrix's eigenbasis, delta = Q Lambda Q^T, which a
-``KernelMatrix`` (``build_delta``, ``gram``) carries, so a lambda sweep
-decomposes delta once; a plain array gets one ``sym_eig``.  The solve keeps
-the m eigenvalues above N eps lambda_max, so Q is N x m (m <= d(d+1)/2 for
-points of G(p, d)).  The loop tracks only the m x N coordinates Q^T Z, Q^T E
-and Q^T Xi: a product by delta is a row scaling by Lambda, and the slice
-norm of a coefficient column w is ||Lambda^{1/2} Q^T w||.  Z starts at zero
-and every SVT argument is Z plus delta times a matrix, so Z's columns stay
-in range(Q), and since SVT(Q A) = Q SVT(A) the SVT runs on the m x N
+The loop runs in the eigenbasis delta = Q Lambda Q^T of ``psd_clamp``'s m
+eigenvalues above N eps lambda_max, which a ``KernelMatrix`` (``build_delta``,
+``gram``) carries, so a lambda sweep decomposes delta once; a plain array
+gets one ``psd_clamp``.  Q is N x m (m <= d(d+1)/2 for points of G(p, d)).
+The loop tracks only the m x N coordinates Q^T Z, Q^T E and Q^T Xi: a
+product by delta is a row scaling by Lambda, and the slice norm of a
+coefficient column w is ||Lambda^{1/2} Q^T w||.  Z starts at zero and every
+SVT argument is Z plus delta times a matrix, so Z's columns stay in
+range(Q), and since SVT(Q A) = Q SVT(A) the SVT runs on the m x N
 coordinates A.  E and Xi are returned as the representatives with no
 component in delta's null space, which carries no slice.  Z = Q (Q^T Z), E
 and the final state are formed once, at return (every iteration under
@@ -78,7 +78,6 @@ DENSE_GUARD = 2_000_000
 ETA_MARGIN = 1.02
 # smallest tau / sigma_max at which the SVT squares M instead of running an SVD
 SVT_EIGH_GUARD = 1e-4
-_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -246,17 +245,19 @@ def admm_solve(
 ) -> tuple[LowRankCoefficients, np.ndarray, AdmmReport]:
     """Run the coefficient-space ADMM to convergence or ``max_iters``.
 
-    ``delta`` is a KernelMatrix, whose stored eigendecomposition is used, or
-    a symmetric array.  Returns the coefficient matrix, the error
-    coefficients (column i holds the expansion of slice error E(i) over the
-    embedded points, with no component in delta's null space), and a report.
+    ``delta`` is a KernelMatrix or a symmetric array, which ``psd_clamp``
+    repairs first.  Returns the coefficient matrix, the error coefficients
+    (column i holds the expansion of slice error E(i) over the embedded
+    points, with no component in delta's null space), and a report.
     Non-convergence is flagged, not raised; the iterate with the smallest
     primal residual is returned in that case.
     """
     eig = _spectrum(delta)
-    w, Q = eig.eigenvalues[::-1], eig.eigenvectors[:, ::-1]  # ascending, as views
+    # delta's range, ascending; contiguous copies keep the products on BLAS
+    lam_d = np.ascontiguousarray(eig.eigenvalues[::-1])
+    Q = np.ascontiguousarray(eig.eigenvectors[:, ::-1])
     n = Q.shape[0]
-    sigma_max = float(w[-1])
+    sigma_max = float(np.max(lam_d, initial=0.0))
     eta = ETA_MARGIN * sigma_max if config.eta is None else float(config.eta)
     if not (eta > sigma_max):
         raise InvalidConfigError(
@@ -265,9 +266,6 @@ def admm_solve(
     if not (sigma_max > 0.0):
         raise InvalidInputError("delta must have a positive eigenvalue")
     x_norm = math.sqrt(sigma_max)
-    # delta's range: the eigenvalues above rounding level
-    keep = w > n * _EPS * sigma_max
-    lam_d, Q = w[keep], Q[:, keep]
     QT = np.ascontiguousarray(Q.T)  # coordinates of the identity
     grad_scale = lam_d[:, None] / eta
 

@@ -10,9 +10,9 @@ Z = U diag(f(sigma)) U^T where f(sigma) = 1 - lam/sigma when sigma > lam and
 0 otherwise.  (Without the 1/2 the same rule would need lam/(2 sigma); the
 reported objective carries the 1/2 so the shrinkage rule is its exact
 minimizer.)  The same rule solves the kernelized variant for any PSD Gram
-matrix; glrr-f is the kernelized solve with the projection kernel.  Every
-Gram matrix is a ``KernelMatrix``, whose stored eigendecomposition the solve
-reads; ``build_delta`` is the projection kernel's ``gram``.
+matrix; glrr-f is the kernelized solve with the projection kernel.  Z is
+formed from the r eigenpairs ``psd_clamp`` keeps, which a ``KernelMatrix``
+stores; ``build_delta`` is the projection kernel's ``gram``.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ import numpy as np
 from .errors import InvalidConfigError
 from .kernels import KernelMatrix, KernelSpec, _spectrum, gram
 from .manifold import GrassmannPoint
-
-EIG_ZERO_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,25 +60,23 @@ def build_delta(points: list[GrassmannPoint]) -> KernelMatrix:
 def glrr_f_solve(G, lam: float) -> tuple[LowRankCoefficients, ClosedFormReport]:
     """Spectral-shrinkage minimizer of the square-root-space objective.
 
-    ``G`` may be a KernelMatrix (whose stored eigendecomposition is reused)
-    or a plain symmetric PSD array (assumed already clamped).
-    Eigenvalues below 1e-12 of the largest are treated as zero before the
-    shrinkage rule is applied.
+    ``G`` may be a KernelMatrix, whose stored eigenpairs are reused, or a
+    symmetric array, which ``psd_clamp`` repairs first.  Either way sigma
+    holds only the r eigenvalues above N eps sigma_max, and Z is rebuilt
+    from their r eigenvectors.
     """
     lam = float(lam)
     if not (0.0 < lam < np.inf):
         raise InvalidConfigError(f"lambda must be positive and finite, got {lam}")
     eig = _spectrum(G)
     sigma = eig.eigenvalues
-
-    cutoff = EIG_ZERO_RTOL * max(sigma[0], 0.0)
-    effective = np.where(sigma > cutoff, sigma, 0.0)
-    shrunk = np.where(effective > lam, 1.0 - lam / np.where(effective > lam, effective, 1.0), 0.0)
+    shrunk = np.where(sigma > lam, 1.0 - lam / np.where(sigma > lam, sigma, 1.0), 0.0)
     kept = int(np.sum(shrunk > 0.0))
     Z = eig.rebuild(shrunk)
 
-    # All traces diagonalize in the eigenbasis: tr(ZG) = sum f_i sigma_i, etc.
-    residual_sq = float(np.sum(sigma) - 2.0 * np.sum(shrunk * sigma) + np.sum(shrunk**2 * sigma))
+    # All traces diagonalize in the eigenbasis: tr(G) - 2 tr(ZG) + tr(ZGZ^T) is
+    # sum sigma_i (1 - f_i)^2, summed without the three large terms that cancel
+    residual_sq = float(np.sum(sigma * (1.0 - shrunk) ** 2))
     nuclear = float(np.sum(shrunk))
     report = ClosedFormReport(
         lam=lam,

@@ -38,7 +38,7 @@ from .admm import AdmmConfig, admm_solve
 from .closed_form import LowRankCoefficients, glrr_f_solve
 from .errors import InvalidConfigError, InvalidInputError
 from .kernels import KernelSpec, gram
-from .manifold import GrassmannPoint, as_matrix, canonical_signs, sym_eig
+from .manifold import GrassmannPoint, _symmetrize, as_matrix, canonical_signs, sym_eig
 from .parallel import ordered_map, page_bytes, system_cpus, worker_count
 from .rng import substream_states, units
 
@@ -49,8 +49,8 @@ _TINY = np.finfo(np.float64).smallest_subnormal
 # were 5.8 N^2 doubles (glrr-f, N=500) and 13 N^2 (glrr-21, N=200), plus margin
 SWEEP_BYTES_PER_N2 = 16 * 8
 # the N x N Gram matrix and its eigenvectors, which exist together only while the
-# matrix is decomposed (tracemalloc peak 4.0 N^2 doubles at N=1000); every method
-# then holds the eigenvectors alone for the whole run
+# matrix is decomposed (tracemalloc peak 3.0 N^2 doubles at N=1000 and 2000);
+# every method then holds the N x r kept eigenvectors alone for the whole run
 GRAM_BYTES_PER_N2 = 2 * 8
 # k-means' (restarts, N, k) batch arrays: tracemalloc peaks were 3.9-6.5 times one
 # such float64 array over five shapes, so three of them stay a lower bound
@@ -96,8 +96,7 @@ def affinity_from_Z(Z) -> np.ndarray:
     if M.shape[0] != M.shape[1]:
         raise InvalidInputError(f"Z must be square, got {M.shape}")
     # IEEE addition commutes, so W_ij and W_ji are the same sum: W is exactly symmetric
-    A = np.abs(M)
-    return (A + A.T) / 2.0
+    return _symmetrize(np.abs(M))
 
 
 def _kmeanspp_batch(canon: np.ndarray, k: int, restarts: int, seed: int) -> np.ndarray:
@@ -346,13 +345,12 @@ def _solve_lambda(G, method: str, lam: float, ncut_cfg: NcutConfig,
 def sweep_workers(n_lambdas: int, n: int, cpus: int, environ, free_bytes: int | None) -> int:
     """How many lambda values ``cluster_sweep`` solves at once.
 
-    ``parallel.worker_count`` over ``n_lambdas`` items, further capped by
-    memory: each lambda in flight is allowed ``SWEEP_BYTES_PER_N2`` bytes per
-    N^2 and all of them together half of ``free_bytes``; an unknown
-    ``free_bytes`` allows one.  Never less than 1.
+    ``parallel.worker_count`` over ``n_lambdas`` items, with ``free_bytes``
+    as the work: each lambda in flight is allowed ``SWEEP_BYTES_PER_N2``
+    bytes per N^2 and all of them together half of ``free_bytes``; an
+    unknown ``free_bytes`` allows one.  Never less than 1.
     """
-    memory_cap = 0 if free_bytes is None else free_bytes // (2 * SWEEP_BYTES_PER_N2 * n * n)
-    return max(1, min(worker_count(cpus, environ, n_lambdas), memory_cap))
+    return worker_count(cpus, environ, n_lambdas, free_bytes or 0, 2 * SWEEP_BYTES_PER_N2 * n * n)
 
 
 def _system_workers(n_lambdas: int, n: int) -> int:

@@ -4,10 +4,10 @@ Four kernels are provided: the projection kernel ||X1^T X2||_F^2, the
 canonical-correlation kernels (largest or summed principal-angle cosine),
 and an affine blend of the summed-cosine and projection kernels.  Gram
 matrices are assembled row by row from one GEMM per row, symmetric by
-construction, and repaired to PSD by eigenvalue truncation when needed, with
-the repair magnitude recorded.  The eigendecomposition taken for the repair
-is all a ``KernelMatrix`` keeps, and all either solver reads: ``_spectrum``
-is where they, and ``kernel_sqrt``, get it.
+construction, and repaired to PSD by keeping only the eigenpairs of their
+numerical range, with the repair magnitude recorded.  Those r <= N eigenpairs
+are all a ``KernelMatrix`` keeps, and all either solver reads: ``_spectrum``
+is where they, and ``kernel_sqrt``, get them, for a plain array too.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
-from .manifold import GrassmannPoint, SymEig, check_same_shape, sym_eig
+from .manifold import GrassmannPoint, SymEig, _frozen, check_same_shape, sym_eig
 from .parallel import ordered_map, system_cpus, worker_count
 
 KERNEL_KINDS = ("projection", "cc-max", "cc-sum", "ccp")
@@ -49,7 +49,7 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """N x N Gram matrix held as its post-repair eigendecomposition, and the repair magnitude."""
+    """N x N Gram matrix held as ``psd_clamp``'s N x r eigenpairs, and the repair magnitude."""
 
     eig: SymEig
     clamp_magnitude: float = 0.0
@@ -70,20 +70,18 @@ def principal_angle_cosines(X1: GrassmannPoint, X2: GrassmannPoint) -> np.ndarra
 
 
 def psd_clamp(K) -> tuple[SymEig, float]:
-    """Truncate negative eigenvalues to zero; the Frobenius-nearest PSD matrix.
+    """K's eigenpairs above N eps max(lambda_max, 0), and the repair magnitude.
 
-    Returns the repaired matrix's eigendecomposition, which its ``rebuild``
-    turns back into the matrix, and the magnitude of the most negative
-    pre-clamp eigenvalue (0.0 when no repair was needed).  Inputs whose
-    smallest eigenvalue is within -1e-8 of the largest keep ``sym_eig(K)``.
+    The threshold is numpy ``matrix_rank``'s; the r eigenvectors kept are a
+    read-only N x r copy.  The magnitude is the most negative eigenvalue's
+    when it is below -1e-8 lambda_max, else 0.0.
     """
     eig = sym_eig(K)
     w = eig.eigenvalues
-    if w[-1] >= -PSD_RTOL * max(w[0], 0.0):
-        return eig, 0.0
-    kept = np.maximum(w, 0.0)
-    kept.setflags(write=False)
-    return SymEig(eigenvalues=kept, eigenvectors=eig.eigenvectors), float(-w[-1])
+    top = max(w[0], 0.0)
+    r = int(np.count_nonzero(w > w.size * np.finfo(np.float64).eps * top))
+    magnitude = float(-w[-1]) if w[-1] < -PSD_RTOL * top else 0.0
+    return SymEig(eigenvalues=w[:r], eigenvectors=_frozen(eig.eigenvectors[:, :r])), magnitude
 
 
 def _kernel_row(cross: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -141,11 +139,11 @@ def gram(points: list[GrassmannPoint], spec: KernelSpec) -> KernelMatrix:
 
 
 def _spectrum(G) -> SymEig:
-    """The eigendecomposition a KernelMatrix carries, or ``sym_eig`` of a symmetric array."""
-    return G.eig if isinstance(G, KernelMatrix) else sym_eig(G)
+    """The eigenpairs a KernelMatrix carries, or ``psd_clamp``'s of a symmetric array."""
+    return G.eig if isinstance(G, KernelMatrix) else psd_clamp(G)[0]
 
 
 def kernel_sqrt(K) -> np.ndarray:
-    """Symmetric PSD square root U D^{1/2} U^T of a (post-clamp) kernel matrix, by ``rebuild``."""
+    """Symmetric PSD square root U D^{1/2} U^T over the kept eigenpairs, by ``rebuild``."""
     eig = _spectrum(K)
-    return eig.rebuild(np.sqrt(np.maximum(eig.eigenvalues, 0.0)))
+    return eig.rebuild(np.sqrt(eig.eigenvalues))

@@ -17,6 +17,7 @@ from .errors import InvalidInputError, RankDeficientError
 ORTHONORMAL_TOL = 1e-10
 SYMMETRY_TOL = 1e-8
 RANK_RTOL = 1e-12
+_HALF_MAX = np.finfo(np.float64).max / 2.0
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -35,6 +36,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _symmetrize(M: np.ndarray) -> np.ndarray:
+    """(M + M^T)/2, exactly symmetric; M is halved first where the sum could overflow."""
+    if np.max(np.abs(M)) > _HALF_MAX:
+        H = M / 2.0
+        return H + H.T
+    return (M + M.T) / 2.0
+
+
 @dataclass(frozen=True)
 class SymEig:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
@@ -44,8 +53,7 @@ class SymEig:
 
     def rebuild(self, values: np.ndarray) -> np.ndarray:
         """V diag(values) V^T for these eigenvectors V, made exactly symmetric as (M + M^T)/2."""
-        M = (self.eigenvectors * values) @ self.eigenvectors.T
-        return (M + M.T) / 2.0
+        return _symmetrize((self.eigenvectors * values) @ self.eigenvectors.T)
 
 
 @dataclass(frozen=True)
@@ -93,10 +101,10 @@ def sym_eig(A) -> SymEig:
     A = as_matrix(A, "A")
     if A.shape[0] != A.shape[1]:
         raise InvalidInputError(f"matrix must be square, got {A.shape}")
-    if np.max(np.abs(A - A.T)) > SYMMETRY_TOL * np.max(np.abs(A)):
+    H = A / 2.0 if np.max(np.abs(A)) > _HALF_MAX else A  # so H - H^T cannot overflow
+    if np.max(np.abs(H - H.T)) > SYMMETRY_TOL * np.max(np.abs(H)):
         raise InvalidInputError("matrix asymmetry exceeds 1e-8 of its largest entry")
-    sym = (A + A.T) / 2.0
-    w, V = np.linalg.eigh(sym)
+    w, V = np.linalg.eigh(_symmetrize(A))
     return SymEig(eigenvalues=_frozen(w[::-1]), eigenvectors=_frozen(V[:, ::-1]))
 
 

@@ -14,6 +14,7 @@ from grasslrr import (
     orthonormalize,
     project_embed,
 )
+from grasslrr.kernels import assemble_gram
 
 
 def random_point(rng, d, p):
@@ -180,6 +181,27 @@ class TestGlrrFSolve:
         Z, report = glrr_f_solve(G, 1e-9)
         assert report.kept_count == 1
         assert np.isfinite(Z.Z).all()
+
+    def test_entries_near_the_float64_limit(self):
+        # both eigenvalues are finite, though the trace overflows
+        G = np.array([[1.5e308, 1e307], [1e307, 1e308]])
+        Z, report = glrr_f_solve(G, 1.0)
+        assert report.kept_count == 2
+        np.testing.assert_allclose(Z.Z, np.eye(2), atol=1e-15)
+        assert np.isfinite([report.residual_sq, report.objective_value]).all()
+
+    def test_plain_array_is_repaired(self):
+        # an indefinite array is solved on psd_clamp's spectrum, as its KernelMatrix is
+        rng = np.random.default_rng(14)
+        points = [random_point(rng, 5, 2) for _ in range(9)]
+        K = gram(points, KernelSpec(kind="cc-sum"))
+        raw = assemble_gram(points, KernelSpec(kind="cc-sum"))
+        assert K.clamp_magnitude > 0.0
+        Zk, rep_k = glrr_f_solve(K, 0.3)
+        Zr, rep_r = glrr_f_solve(raw, 0.3)
+        assert np.all(rep_r.eigenvalues_sigma > 0.0)
+        assert rep_r.eigenvalues_sigma.tobytes() == rep_k.eigenvalues_sigma.tobytes()
+        assert Zr.Z.tobytes() == Zk.Z.tobytes()
 
     def test_rejects_bad_lambda(self):
         with pytest.raises(InvalidConfigError):

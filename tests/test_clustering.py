@@ -83,6 +83,10 @@ class TestAffinity:
         assert np.array_equal(W, W.T)
         assert np.all(W >= 0.0)
 
+    def test_entries_near_the_float64_limit(self):
+        W = affinity_from_Z(np.array([[1.5e308, 0.0], [0.0, 1.0]]))
+        assert W.tolist() == [[1.5e308, 0.0], [0.0, 1.0]]
+
     def test_accepts_coefficients(self):
         rng = np.random.default_rng(2)
         Z = LowRankCoefficients(Z=rng.standard_normal((4, 4)))

@@ -23,8 +23,17 @@ from grasslrr.manifold import SymEig
 from oracles import k_cc, k_ccp, k_projection
 
 
+EPS = np.finfo(np.float64).eps
+
+
 def random_point(rng, d, p):
     return orthonormalize(rng.standard_normal((d, p)), p)
+
+
+def grassmann_fixture():
+    """30 random points of G(2, 5), whose projection Gram matrix has rank 15."""
+    rng = np.random.default_rng(25)
+    return [random_point(rng, 5, 2) for _ in range(30)]
 
 
 class TestPrincipalAngles:
@@ -377,9 +386,30 @@ class TestPsdClamp:
         eig, magnitude = psd_clamp(A + A.T)
         out = eig.rebuild(eig.eigenvalues)
         assert magnitude > 0.0
-        assert eig.eigenvalues.tobytes() == np.maximum(sym_eig(A + A.T).eigenvalues, 0.0).tobytes()
-        assert out.tobytes() == sym_eig(A + A.T).rebuild(eig.eigenvalues).tobytes()
+        full = sym_eig(A + A.T)
+        r = int(np.sum(full.eigenvalues > 7 * EPS * full.eigenvalues[0]))
+        assert 0 < r < 7
+        assert eig.eigenvalues.tobytes() == full.eigenvalues[:r].tobytes()
+        assert eig.eigenvectors.tobytes() == np.ascontiguousarray(full.eigenvectors[:, :r]).tobytes()
+        clamped = full.rebuild(np.maximum(full.eigenvalues, 0.0))
+        assert np.max(np.abs(out - clamped)) <= 1e-12 * np.max(np.abs(clamped))
         assert np.array_equal(out, out.T)
+
+    def test_keeps_only_the_numerical_range(self):
+        # 30 points of G(2, 5): the projection Gram matrix has rank m = 15 < N
+        G = gram(grassmann_fixture(), KernelSpec(kind="projection"))
+        assert G.eig.eigenvectors.shape == (30, 15)
+        assert G.eig.eigenvectors.flags.c_contiguous and not G.eig.eigenvectors.flags.writeable
+
+    def test_no_kept_eigenvalue_at_rounding_level(self):
+        rng = np.random.default_rng(24)
+        A = rng.standard_normal((12, 12))
+        G = gram(grassmann_fixture(), KernelSpec(kind="projection"))
+        for K in (G.values, A + A.T):
+            eig, _ = psd_clamp(K)
+            w = sym_eig(K).eigenvalues
+            assert np.all(eig.eigenvalues > K.shape[0] * EPS * w[0])
+            assert eig.eigenvalues.size == np.sum(w > K.shape[0] * EPS * w[0])
 
 
 class TestKernelSqrt:
@@ -403,6 +433,17 @@ class TestKernelSqrt:
         eig = sym_eig(A @ A.T)
         roots = np.sqrt(np.maximum(eig.eigenvalues, 0.0))
         assert kernel_sqrt(A @ A.T).tobytes() == eig.rebuild(roots).tobytes()
+
+    def test_entries_near_the_float64_limit(self):
+        K = np.array([[1.5e308, 1e307], [1e307, 1e308]])
+        S = kernel_sqrt(K)
+        assert np.isfinite(S).all()
+        assert np.max(np.abs(S @ S - K)) <= 1e-14 * 1.5e308
+
+    def test_rank_is_the_kept_count(self):
+        # the square roots of rounding-level eigenvalues would add rank
+        G = gram(grassmann_fixture(), KernelSpec(kind="projection"))
+        assert np.linalg.matrix_rank(kernel_sqrt(G.values)) == 15
 
     def test_accepts_kernel_matrix(self):
         rng = np.random.default_rng(21)

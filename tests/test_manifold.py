@@ -7,6 +7,7 @@ from grasslrr import (
     RankDeficientError,
     glrr_f_solve,
     orthonormalize,
+    SymEig,
     project_embed,
     sym_eig,
 )
@@ -127,6 +128,24 @@ class TestSymEig:
         assert np.max(np.abs(G - G.T)) > 1e-5 * np.max(np.abs(G))
         with pytest.raises(InvalidInputError, match="1e-8 of its largest entry"):
             sym_eig(G)
+
+    def test_entries_near_the_float64_limit(self):
+        # A + A^T and A - A^T overflow although every entry and eigenvalue is finite
+        A = np.array([[1.5e308, 1e307], [1e307, 1e308]])
+        expected = 4.0 * np.linalg.eigvalsh(A / 4.0)[::-1]
+        np.testing.assert_allclose(sym_eig(A).eigenvalues, expected, rtol=1e-15)
+        with pytest.raises(InvalidInputError, match="asymmetry"):
+            sym_eig(np.array([[1.0, 1.5e308], [-1.5e308, 1.0]]))
+        # below half the float64 range the sum is not halved first
+        rng = np.random.default_rng(14)
+        B = rng.standard_normal((5, 5)) * 1e307
+        B = B + B.T
+        assert np.max(np.abs(B)) < np.finfo(np.float64).max / 2.0
+        assert sym_eig(B).eigenvalues.tobytes() == np.linalg.eigh((B + B.T) / 2.0)[0][::-1].tobytes()
+
+    def test_rebuild_near_the_float64_limit(self):
+        eig = SymEig(eigenvalues=np.array([1.5e308, 1.0]), eigenvectors=np.eye(2))
+        assert eig.rebuild(eig.eigenvalues).tolist() == [[1.5e308, 0.0], [0.0, 1.0]]
 
     def test_rebuild_is_the_reconstruction_it_replaced(self):
         # the PSD repair, the kernel square root and the closed-form Z are rebuilds, so

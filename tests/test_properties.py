@@ -507,9 +507,18 @@ CLI_RUNS = (
 EXTREME_VALUES = (np.finfo(np.float64).max, -np.finfo(np.float64).max, np.finfo(np.float64).tiny,
                   np.finfo(np.float64).smallest_subnormal, 1e300, -1e-300)
 
+# --config keys, some unknown, and values: digits come only from the bounded
+# choices, so no entry asks for a k-means batch that fits in memory but is slow
+CONFIG_KEYS = ("seed", "p", "standardize", "kernel", "alpha", "mu0", "rho0", "mu-max", "eta",
+               "eps1", "eps2", "max-iters", "restarts", "kmeans-max-iters", "clusters", "wibble")
+config_values = (st.sampled_from(("", "x", "true", "0.5", "1e-300", "1e308", "inf", "-inf", "nan"))
+                 | st.integers(-3, 64).map(str)
+                 | st.text(st.characters(exclude_categories=("Cc", "Cs", "Nd")), max_size=8))
+
 # one mutation of a 12-point set of 6 x 2 hex matrices: a byte of one matrix file
 # replaced, inserted or deleted; a manifest or truth line replaced; every matrix
-# scaled by 2^k; or one matrix entry set to an extreme finite value
+# scaled by 2^k; one matrix entry set to an extreme finite value; every matrix a
+# copy of the first (one subspace, a rank-1 Gram matrix); or a --config entry
 set_mutations = st.one_of(
     st.tuples(st.sampled_from(["replace-byte", "insert-byte", "delete-byte"]),
               st.integers(0, 11), st.integers(0, 2**16), st.integers(0, 255)),
@@ -518,6 +527,8 @@ set_mutations = st.one_of(
     st.tuples(st.just("rescale"), st.integers(-1074, 1074)),
     st.tuples(st.just("extreme-entry"), st.integers(0, 11), st.integers(0, 5), st.integers(0, 1),
               st.sampled_from(EXTREME_VALUES) | st.floats(allow_nan=False, allow_infinity=False)),
+    st.just(("repeat",)),
+    st.tuples(st.just("config"), st.sampled_from(CONFIG_KEYS), config_values),
 )
 
 
@@ -546,6 +557,12 @@ def mutate(data, mutation):
         lines = (data / name).read_bytes().split(b"\n")
         lines[at % len(lines)] = line
         (data / name).write_bytes(b"\n".join(lines))
+    elif kind == "repeat":
+        for path in matrices[1:]:
+            shutil.copyfile(matrices[0], path)
+    elif kind == "config":
+        key, value = args
+        (data / "run.cfg").write_text(f"{key}={value}\n")
     elif kind == "rescale":
         for path in matrices:
             with np.errstate(over="ignore", under="ignore"):
@@ -567,10 +584,20 @@ def hex_set(tmp_path_factory):
 
 
 @settings(PROPERTY, max_examples=50)
-@given(mutation=set_mutations, run=st.sampled_from(CLI_RUNS), standardize=st.booleans())
+@given(mutation=set_mutations, run=st.sampled_from(CLI_RUNS), standardize=st.booleans(),
+       p1=st.booleans())
 # a set scaled near 1e300, whose unscaled std overflows under --standardize
-@example(mutation=("rescale", 997), run=CLI_RUNS[0], standardize=True)
-def test_cluster_exit_code_contract(hex_set, mutation, run, standardize):
+@example(mutation=("rescale", 997), run=CLI_RUNS[0], standardize=True, p1=False)
+# k-means batches of 8.6 GB and 86 TB, refused before any file is read
+@example(mutation=("config", "restarts", "10000000"), run=CLI_RUNS[0], standardize=False, p1=False)
+@example(mutation=("config", "restarts", "100000000000"), run=CLI_RUNS[3], standardize=False,
+         p1=False)
+# twelve copies of one subspace, whose Gram matrix keeps one eigenpair
+@example(mutation=("repeat",), run=CLI_RUNS[0], standardize=False, p1=False)
+@example(mutation=("repeat",), run=CLI_RUNS[1], standardize=True, p1=False)
+@example(mutation=("repeat",), run=CLI_RUNS[3], standardize=True, p1=True)
+@example(mutation=("rescale", 0), run=CLI_RUNS[1], standardize=False, p1=True)
+def test_cluster_exit_code_contract(hex_set, mutation, run, standardize, p1):
     # README: exit 0, 2 or 3, never a raw exception, and an error line for 2 and 3
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "data"
@@ -578,9 +605,15 @@ def test_cluster_exit_code_contract(hex_set, mutation, run, standardize):
         mutate(data, mutation)
         argv = ["cluster", "--data", str(data), "--truth", str(data / "truth.txt"), *run,
                 "--lambda", "0.5", "--clusters", "3", "--out", str(Path(tmp) / "out")]
+        argv += ["--standardize"] * standardize + ["--p", "1"] * p1
+        if (data / "run.cfg").exists():
+            argv += ["--config", str(data / "run.cfg")]
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(argv + ["--standardize"] * standardize)
+        # check_memory reads physical memory: fixed at 8 GiB, the restarts
+        # examples are refused on every machine
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                mock.patch("grasslrr.cli.page_bytes", return_value=8 << 30):
+            code = main(argv)
     assert code in (0, 2, 3), code
     if code != 0:
         assert err.getvalue().startswith("error:"), err.getvalue()
