@@ -200,15 +200,13 @@ def cmd_cluster(args) -> int:
         max_iters=args.kmeans_max_iters,
         seed=args.seed,
     )
-    kernel_spec = admm_cfg = None
-    if args.method == "kglrr":
-        kernel_spec = KernelSpec(kind=args.kernel, alpha=args.alpha)
-    elif args.method == "glrr-21":
-        if args.max_iters < 1:  # AdmmConfig takes 0 (the all-zero start), but that is no solve
-            raise InvalidInputError(f"max-iters must be at least 1, got {args.max_iters}")
-        # cluster_sweep replaces lam with each swept value
-        settings = {f.name: getattr(args, f.name) for f in fields(AdmmConfig) if f.name != "lam"}
-        admm_cfg = AdmmConfig(lam=lambdas[0], **settings)
+    # every method's settings are built, and so checked; cluster_sweep picks what its method reads
+    kernel_spec = KernelSpec(kind=args.kernel, alpha=args.alpha)
+    if args.max_iters < 1:  # AdmmConfig takes 0 (the all-zero start), but that is no solve
+        raise InvalidInputError(f"max-iters must be at least 1, got {args.max_iters}")
+    # cluster_sweep replaces lam with each swept value
+    settings = {f.name: getattr(args, f.name) for f in fields(AdmmConfig) if f.name != "lam"}
+    admm_cfg = AdmmConfig(lam=lambdas[0], **settings)
 
     # closing: a failed write or lambda cancels the queued lambda values and
     # joins the running ones before main reports the error
@@ -232,13 +230,11 @@ def cmd_cluster(args) -> int:
             out_dir = args.out if len(lambdas) == 1 else os.path.join(args.out, f"lam_{lam:g}")
             save_results(out_dir, coeffs, labels, report)
 
-            if args.method == "glrr-21":
-                iter_text, conv_text = str(diag["iterations"]), report["converged"]
-            else:
-                iter_text, conv_text = "-", "-"
+            # only the closed form runs 0 iterations, and it prints "- -"
+            counts = f"{diag['iterations']} {report['converged']}" if diag["iterations"] else "- -"
             if lam == lambdas[0]:  # with the first row, so a setup error leaves stdout empty
                 print("method lambda iterations converged accuracy")
-            print(f"{args.method} {lam:g} {iter_text} {conv_text} {acc_text}")
+            print(f"{args.method} {lam:g} {counts} {acc_text}")
     return 0
 
 

@@ -48,10 +48,10 @@ _TINY = np.finfo(np.float64).smallest_subnormal
 # the N x N float64 temporaries one lambda in flight may hold: tracemalloc peaks
 # were 5.8 N^2 doubles (glrr-f, N=500) and 13 N^2 (glrr-21, N=200), plus margin
 SWEEP_BYTES_PER_N2 = 16 * 8
-# the N x N Gram matrix and its eigenvectors, which exist together only while the
-# matrix is decomposed (tracemalloc peak 3.0 N^2 doubles at N=1000 and 2000);
-# every method then holds the N x r kept eigenvectors alone for the whole run
-GRAM_BYTES_PER_N2 = 2 * 8
+# the N x N Gram matrix, its symmetrized copy and its eigenvectors while it is decomposed
+# (tracemalloc peak 3.0 N^2 doubles at N=1000 and 2000; LAPACK's workspace is not
+# counted); every method then holds the N x r kept eigenvectors alone for the whole run
+GRAM_BYTES_PER_N2 = 3 * 8
 # k-means' (restarts, N, k) batch arrays: tracemalloc peaks were 3.9-6.5 times one
 # such float64 array over five shapes, so three of them stay a lower bound
 KMEANS_BYTES_PER_ENTRY = 3 * 8
@@ -325,8 +325,8 @@ def _solve_lambda(G, method: str, lam: float, ncut_cfg: NcutConfig,
         cfg = AdmmConfig(lam=lam) if admm_cfg is None else replace(admm_cfg, lam=lam)
         coeffs, _ecoef, report = admm_solve(G, cfg)
         s = report.z_singular_values
-        rank_z = int(np.sum(s > 1e-10 * (s[0] if s.size else 0.0)))
-        lam, iterations, converged = cfg.lam, report.iterations, report.converged
+        rank_z = int(np.sum(s > 1e-10 * s[0]))
+        iterations, converged = report.iterations, report.converged
     else:
         coeffs, report = glrr_f_solve(G, lam)
         lam, iterations, converged, rank_z = report.lam, 0, True, report.kept_count
@@ -379,13 +379,9 @@ def cluster_pipeline(
     points: list[GrassmannPoint],
     method: str,
     ncut_cfg: NcutConfig,
-    lam: float | None = None,
+    lam: float,
     kernel_spec: KernelSpec | None = None,
     admm_cfg: AdmmConfig | None = None,
 ) -> tuple[ClusterLabels, LowRankCoefficients, dict]:
-    """``cluster_sweep`` over the single lambda ``lam``; for glrr-21 ``admm_cfg.lam`` wins."""
-    if method == "glrr-21" and admm_cfg is not None:
-        lam = admm_cfg.lam
-    if lam is None and method in METHODS:
-        raise InvalidConfigError(f"{method} requires lambda (or, for glrr-21, an ADMM config)")
+    """``cluster_sweep`` over ``lam``, required for every method; it replaces ``admm_cfg.lam``."""
     return next(cluster_sweep(points, method, ncut_cfg, [lam], kernel_spec, admm_cfg))

@@ -96,7 +96,7 @@ def sym_eig(A) -> SymEig:
 
     Asymmetry up to 1e-8 of the largest entry, both in max norm, is tolerated
     and symmetrized away, so the outcome does not depend on A's scale;
-    anything larger is rejected.
+    anything larger is rejected, and so is an eigenvalue past float64's range.
     """
     A = as_matrix(A, "A")
     if A.shape[0] != A.shape[1]:
@@ -105,6 +105,8 @@ def sym_eig(A) -> SymEig:
     if np.max(np.abs(H - H.T)) > SYMMETRY_TOL * np.max(np.abs(H)):
         raise InvalidInputError("matrix asymmetry exceeds 1e-8 of its largest entry")
     w, V = np.linalg.eigh(_symmetrize(A))
+    if not np.isfinite(w).all():  # eigh returns inf, with no warning, for such an eigenvalue
+        raise InvalidInputError("matrix has an eigenvalue beyond float64 range")
     return SymEig(eigenvalues=_frozen(w[::-1]), eigenvectors=_frozen(V[:, ::-1]))
 
 

@@ -286,6 +286,11 @@ class TestAdmmSolve:
         replay = e_step(state.Z, state.Xicoef, state.mu, delta.values)
         np.testing.assert_allclose(replay, Ecoef, atol=1e-3)
 
+    def test_eigenvalue_beyond_float64_range_rejected(self):
+        # an inf eigenvalue used to surface as "eta=0.0 must exceed ..."
+        with pytest.raises(InvalidInputError, match="eigenvalue beyond float64 range"):
+            admm_solve(np.array([[1.5e308, -1.7e308], [-1.7e308, 1.0]]), AdmmConfig(lam=1.0))
+
     def test_matches_dense_reference_each_iteration(self):
         for seed in (0, 1, 2):
             points = random_points(seed, 6, 10, 2)
@@ -591,7 +596,7 @@ class TestIterationCost:
         points = random_points(23, 10, 12, 2)
         calls = self.count_svd_calls(monkeypatch)
         _, _, diag = cluster_pipeline(
-            points, "glrr-21", NcutConfig(n_clusters=2, seed=0),
+            points, "glrr-21", NcutConfig(n_clusters=2, seed=0), lam=1e-8,
             admm_cfg=AdmmConfig(lam=1e-8, max_iters=40),
         )
         assert diag["iterations"] == 40
@@ -606,7 +611,7 @@ class TestIterationCost:
         eigh_calls = self.count_svd_calls(monkeypatch, "eigh")
         eigvalsh_calls = self.count_svd_calls(monkeypatch, "eigvalsh")
         _, _, diag = cluster_pipeline(
-            points, "glrr-21", NcutConfig(n_clusters=2, seed=0),
+            points, "glrr-21", NcutConfig(n_clusters=2, seed=0), lam=0.5,
             admm_cfg=AdmmConfig(lam=0.5, max_iters=40),
         )
         assert diag["iterations"] == 40

@@ -856,20 +856,65 @@ def test_out_of_memory_is_exit_2(method, small_dataset, tmp_path, monkeypatch, c
     (["--lambda", "1", "--method", "glrr-21", "--max-iters", "0"], "max-iters must be at least 1"),
     (["--lambda", "1", "--data", "{tmp}"], "manifest not found"),
     (["--lambda", "1", "--truth", "{tmp}/missing.txt"], "labels file not found"),
+    # every method's kernel spec and ADMM config are built, so checked, read or not
+    (["--lambda", "1", "--kernel", "ccp", "--alpha", "2"],
+     "ccp blend weight must be in (0,1), got 2.0"),
+    (["--lambda", "1", "--method", "kglrr", "--kernel", "cc-sum", "--mu0", "nan"],
+     "mu0 must be finite, got nan"),
+    (["--lambda", "1", "--max-iters", "0"], "max-iters must be at least 1, got 0"),
 ], ids=["lambda-empty-list", "lambda-non-numeric", "kmeans-max-iters-0",
         "kmeans-max-iters-negative", "config-missing", "clusters-above-n",
-        "glrr-21-max-iters-0", "data-dir-without-manifest", "truth-missing"])
+        "glrr-21-max-iters-0", "data-dir-without-manifest", "truth-missing",
+        "glrr-f-ccp-alpha-2", "kglrr-mu0-nan", "glrr-f-max-iters-0"])
 def test_cluster_setting_is_exit_2(argv, expected, small_dataset, tmp_path, capsys):
     capsys.readouterr()
     code = main(["cluster", "--data", str(small_dataset), "--method", "glrr-f",
                  "--clusters", "2", "--out", str(tmp_path / "o")]
                 + [arg.format(tmp=tmp_path) for arg in argv])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == 2
+    assert out == ""
     assert err.startswith("error:"), err
     assert "Traceback" not in err
     assert expected in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("method, unread", [
+    (["glrr-21", "--max-iters", "20"], ["--kernel", "ccp", "--alpha", "0.3"]),
+    (["glrr-f"], ["--mu0", "5"]),
+], ids=["glrr-21-kernel", "glrr-f-mu0"])
+def test_unread_setting_leaves_the_run_unchanged(method, unread, small_dataset, tmp_path, capsys):
+    runs = []
+    for name, extra in (("plain", []), ("unread", unread)):
+        out = tmp_path / name
+        assert main(["cluster", "--data", str(small_dataset), "--method", *method,
+                     "--lambda", "1", "--clusters", "2", "--out", str(out), *extra]) == 0
+        files = [(out / f).read_bytes() for f in ("Z.mat", "labels.txt", "report.txt")]
+        runs.append((capsys.readouterr().out, files))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("method", [
+    ["glrr-f"], ["kglrr", "--kernel", "cc-sum"], ["glrr-21", "--max-iters", "20"],
+], ids=["glrr-f", "kglrr", "glrr-21"])
+def test_stdout_row_counts_the_solve(method, small_dataset, tmp_path, capsys):
+    # the closed form runs no iterations and prints "- -"; ADMM prints its own count
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["cluster", "--data", str(small_dataset), "--method", *method,
+                 "--lambda", "0.5", "--clusters", "2", "--truth",
+                 str(small_dataset / "truth.txt"), "--out", str(out)]) == 0
+    report = load_report(out / "report.txt")
+    accuracy = f"{float(report['accuracy']):.4f}"
+    if method[0] == "glrr-21":
+        assert int(report["iterations"]) >= 1
+        counts = f"{report['iterations']} {report['converged']}"
+    else:
+        assert (report["iterations"], report["converged"]) == ("0", "true")
+        counts = "- -"
+    assert capsys.readouterr().out == ("method lambda iterations converged accuracy\n"
+                                       f"{method[0]} 0.5 {counts} {accuracy}\n")
 
 
 def test_cluster_count_above_n_fails_before_any_solve(small_dataset, tmp_path, monkeypatch,
@@ -907,9 +952,9 @@ def test_missing_input_file_is_exit_2(argv, expected, small_dataset, tmp_path, c
 
 
 @pytest.mark.parametrize("phys, expected", [
-    (1 << 30, "N=10000 points need at least 1600000000 bytes for the Gram matrix and its "
-              "eigenvectors; physical memory is 1073741824 bytes"),
-    (2 * 8 * 10000**2, "dataset file not found: {data}/points/point_00000.mat"),
+    (2 << 30, "N=10000 points need at least 2400000000 bytes for the Gram matrix and its "
+              "eigenvectors; physical memory is 2147483648 bytes"),
+    (3 * 8 * 10000**2, "dataset file not found: {data}/points/point_00000.mat"),
     (None, "dataset file not found: {data}/points/point_00000.mat"),
 ], ids=["too-small", "just-fits", "unknown"])
 def test_memory_floor_before_any_matrix_file(phys, expected, tmp_path, monkeypatch, capsys):

@@ -97,6 +97,11 @@ class TestGlrrFSolve:
         assert np.max(np.abs(Z.Z)) == 0.0
         assert report.kept_count == 0
 
+    def test_eigenvalue_beyond_float64_range_rejected(self):
+        # an inf eigenvalue used to leave no eigenpair kept and Z = 0 as if solved
+        with pytest.raises(InvalidInputError, match="eigenvalue beyond float64 range"):
+            glrr_f_solve(np.array([[1.5e308, -1.7e308], [-1.7e308, 1.0]]), 0.1)
+
     def test_scaled_identity(self):
         c, lam = 4.0, 1.0
         Z, report = glrr_f_solve(c * np.eye(5), lam)

@@ -449,7 +449,8 @@ class TestClusterPipeline:
         points, truth_labels = two_cluster_points(seed=2)
         truth = ClusterLabels(labels=truth_labels, n_clusters=2)
         labels, _, diag = cluster_pipeline(
-            points, "glrr-21", NcutConfig(n_clusters=2, seed=0), admm_cfg=AdmmConfig(lam=1.0)
+            points, "glrr-21", NcutConfig(n_clusters=2, seed=0), lam=1.0,
+            admm_cfg=AdmmConfig(lam=1.0),
         )
         assert diag["converged"]
         assert diag["iterations"] > 0
@@ -459,7 +460,7 @@ class TestClusterPipeline:
         points, _ = two_cluster_points(seed=2)
         for cfg in (AdmmConfig(lam=1.0), AdmmConfig(lam=0.5, max_iters=5)):
             _, coeffs, diag = cluster_pipeline(
-                points, "glrr-21", NcutConfig(n_clusters=2, seed=0), admm_cfg=cfg
+                points, "glrr-21", NcutConfig(n_clusters=2, seed=0), lam=cfg.lam, admm_cfg=cfg
             )
             s = np.linalg.svd(coeffs.Z, compute_uv=False)
             assert diag["rank_z"] == int(np.sum(s > 1e-10 * s[0]))
@@ -480,7 +481,7 @@ class TestClusterPipeline:
 
     def test_missing_params(self):
         points, _ = two_cluster_points(seed=5)
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(TypeError):  # lam is required for every method
             cluster_pipeline(points, "glrr-f", NcutConfig(n_clusters=2))
         with pytest.raises(InvalidConfigError):
             cluster_pipeline(points, "kglrr", NcutConfig(n_clusters=2), lam=0.5)
@@ -522,10 +523,8 @@ class TestClusterSweep:
         swept = list(cluster_sweep(points, method, cfg, lambdas, **kwargs))
         assert len(swept) == len(lambdas)
         for lam, result in zip(lambdas, swept):
-            single = dict(kwargs)
-            if method == "glrr-21":
-                single["admm_cfg"] = dataclasses.replace(kwargs["admm_cfg"], lam=lam)
-            assert_bit_identical(result, cluster_pipeline(points, method, cfg, lam=lam, **single))
+            # lam replaces admm_cfg's lambda in a single solve too
+            assert_bit_identical(result, cluster_pipeline(points, method, cfg, lam=lam, **kwargs))
             assert result[2]["lam"] == lam
 
     @pytest.mark.parametrize("method, kwargs", SWEEP_CASES, ids=[c[0] for c in SWEEP_CASES])
@@ -657,7 +656,7 @@ class TestCheckMemory:
     """The memory floor: the N x N Gram matrix and its eigenvectors against physical memory."""
 
     def test_floor(self):
-        need = 2 * 8 * 500 * 500
+        need = 3 * 8 * 500 * 500
         clustering.check_memory(500, need)
         with pytest.raises(InvalidInputError) as err:
             clustering.check_memory(500, need - 1)
@@ -665,9 +664,9 @@ class TestCheckMemory:
             f"N=500 points need at least {need} bytes for the Gram matrix and its "
             f"eigenvectors; physical memory is {need - 1} bytes"
         )
-        with pytest.raises(InvalidInputError, match="N=40000 points need at least 25600000000"):
-            clustering.check_memory(40000, 16 * GiB)
-        clustering.check_memory(40000, 32 * GiB)
+        with pytest.raises(InvalidInputError, match="N=40000 points need at least 38400000000"):
+            clustering.check_memory(40000, 32 * GiB)
+        clustering.check_memory(40000, 36 * GiB)
         clustering.check_memory(0, 0)
         clustering.check_memory(10**9, None)  # sysconf lacks the names: nothing is refused
 

@@ -440,6 +440,11 @@ class TestKernelSqrt:
         assert np.isfinite(S).all()
         assert np.max(np.abs(S @ S - K)) <= 1e-14 * 1.5e308
 
+    def test_eigenvalue_beyond_float64_range_rejected(self):
+        # an inf eigenvalue used to give the all-zero matrix
+        with pytest.raises(InvalidInputError, match="eigenvalue beyond float64 range"):
+            kernel_sqrt(np.array([[1.5e308, -1.7e308], [-1.7e308, 1.0]]))
+
     def test_rank_is_the_kept_count(self):
         # the square roots of rounding-level eigenvalues would add rank
         G = gram(grassmann_fixture(), KernelSpec(kind="projection"))

@@ -143,6 +143,11 @@ class TestSymEig:
         assert np.max(np.abs(B)) < np.finfo(np.float64).max / 2.0
         assert sym_eig(B).eigenvalues.tobytes() == np.linalg.eigh((B + B.T) / 2.0)[0][::-1].tobytes()
 
+    def test_eigenvalue_beyond_float64_range_rejected(self):
+        # every entry is finite, but the largest eigenvalue is about 3.1e308
+        with pytest.raises(InvalidInputError, match="eigenvalue beyond float64 range"):
+            sym_eig(np.array([[1.5e308, -1.7e308], [-1.7e308, 1.0]]))
+
     def test_rebuild_near_the_float64_limit(self):
         eig = SymEig(eigenvalues=np.array([1.5e308, 1.0]), eigenvectors=np.eye(2))
         assert eig.rebuild(eig.eigenvalues).tolist() == [[1.5e308, 0.0], [0.0, 1.0]]

@@ -407,7 +407,7 @@ def permuted_unions(draw):
 @pytest.mark.parametrize("method, kwargs", [
     ("glrr-f", {"lam": 0.5}),
     ("kglrr", {"lam": 0.5, "kernel_spec": KernelSpec(kind="cc-sum")}),
-    ("glrr-21", {"admm_cfg": AdmmConfig(lam=1.0, max_iters=60)}),
+    ("glrr-21", {"lam": 1.0, "admm_cfg": AdmmConfig(lam=1.0, max_iters=60)}),
 ])
 @settings(PROPERTY, max_examples=24)
 @given(permuted_unions())
@@ -496,13 +496,15 @@ def test_admm_dual_bound_never_exceeds_primal_bound(point_set, lam, max_iters):
     assert report.relative_gap >= -1e-12
 
 
-# the cluster runs the exit-code contract covers: every method, and each cc kernel
+# the cluster runs the exit-code contract covers: every method, each cc kernel,
+# and glrr-f given a kernel it does not read
 CLI_RUNS = (
     ("--method", "glrr-f"),
     ("--method", "glrr-21", "--max-iters", "20"),
     ("--method", "kglrr", "--kernel", "cc-max"),
     ("--method", "kglrr", "--kernel", "cc-sum"),
     ("--method", "kglrr", "--kernel", "ccp"),
+    ("--method", "glrr-f", "--kernel", "ccp"),
 )
 EXTREME_VALUES = (np.finfo(np.float64).max, -np.finfo(np.float64).max, np.finfo(np.float64).tiny,
                   np.finfo(np.float64).smallest_subnormal, 1e300, -1e-300)
@@ -597,6 +599,10 @@ def hex_set(tmp_path_factory):
 @example(mutation=("repeat",), run=CLI_RUNS[1], standardize=True, p1=False)
 @example(mutation=("repeat",), run=CLI_RUNS[3], standardize=True, p1=True)
 @example(mutation=("rescale", 0), run=CLI_RUNS[1], standardize=False, p1=True)
+# a value its setting's type refuses, for a method that does not read the setting
+@example(mutation=("config", "alpha", "2"), run=CLI_RUNS[5], standardize=False, p1=False)
+@example(mutation=("config", "mu0", "nan"), run=CLI_RUNS[3], standardize=False, p1=False)
+@example(mutation=("config", "max-iters", "0"), run=CLI_RUNS[0], standardize=False, p1=False)
 def test_cluster_exit_code_contract(hex_set, mutation, run, standardize, p1):
     # README: exit 0, 2 or 3, never a raw exception, and an error line for 2 and 3
     with tempfile.TemporaryDirectory() as tmp:
