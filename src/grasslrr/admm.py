@@ -19,7 +19,9 @@ reformulation.
 The loop runs in the eigenbasis delta = Q Lambda Q^T of ``psd_clamp``'s m
 eigenvalues above N eps lambda_max, which a ``KernelMatrix`` (``build_delta``,
 ``gram``) carries, so a lambda sweep decomposes delta once; a plain array
-gets one ``psd_clamp``.  Q is N x m (m <= d(d+1)/2 for points of G(p, d)).
+gets one ``psd_clamp``.  Q is N x m (m <= d(d+1)/2 for points of G(p, d)),
+and the loop reads Lambda and Q as ``psd_clamp`` keeps them: in LAPACK's
+ascending order, Q a C-contiguous copy.
 The loop tracks only the m x N coordinates Q^T Z, Q^T E and Q^T Xi: a
 product by delta is a row scaling by Lambda, and the slice norm of a
 coefficient column w is ||Lambda^{1/2} Q^T w||.  Z starts at zero and every
@@ -145,7 +147,7 @@ class AdmmReport:
     final_state: "AdmmState | None" = None
     # "converged" or "max_iters"; returned_iteration is the 1-based index of
     # the returned iterate (0: the all-zero start), and z_singular_values its
-    # thresholded singular values, in descending order
+    # thresholded singular values, descending: SVD order, not sym_eig's
     stop_reason: str = "max_iters"
     returned_iteration: int = 0
     z_singular_values: np.ndarray | None = None
@@ -253,9 +255,7 @@ def admm_solve(
     primal residual is returned in that case.
     """
     eig = _spectrum(delta)
-    # delta's range, ascending; contiguous copies keep the products on BLAS
-    lam_d = np.ascontiguousarray(eig.eigenvalues[::-1])
-    Q = np.ascontiguousarray(eig.eigenvectors[:, ::-1])
+    lam_d, Q = eig.eigenvalues, eig.eigenvectors
     n = Q.shape[0]
     sigma_max = float(np.max(lam_d, initial=0.0))
     eta = ETA_MARGIN * sigma_max if config.eta is None else float(config.eta)

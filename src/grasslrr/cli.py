@@ -184,29 +184,30 @@ def cmd_cluster(args) -> int:
     for a, b in zip(lambdas, lambdas[1:]):  # sorted, so equal lam_<value:g> names are adjacent
         if f"{a:g}" == f"{b:g}":
             raise InvalidInputError(f"lambda values {a!r} and {b!r} would both write lam_{a:g}")
-    points = _load_points(args)
-    truth = None
-    if args.truth is not None:
-        truth_labels = read_labels(args.truth)
-        if truth_labels.shape[0] != len(points):
-            raise InvalidInputError(
-                f"{args.truth}: {truth_labels.shape[0]} labels for {len(points)} points"
-            )
-        truth = _clusters(truth_labels)
-
+    # every method's settings are built, and so checked, before any matrix file is
+    # read; cluster_sweep picks what its method reads
     ncut_cfg = NcutConfig(
         n_clusters=args.clusters,
         restarts=args.restarts,
         max_iters=args.kmeans_max_iters,
         seed=args.seed,
     )
-    # every method's settings are built, and so checked; cluster_sweep picks what its method reads
     kernel_spec = KernelSpec(kind=args.kernel, alpha=args.alpha)
     if args.max_iters < 1:  # AdmmConfig takes 0 (the all-zero start), but that is no solve
         raise InvalidInputError(f"max-iters must be at least 1, got {args.max_iters}")
     # cluster_sweep replaces lam with each swept value
     settings = {f.name: getattr(args, f.name) for f in fields(AdmmConfig) if f.name != "lam"}
     admm_cfg = AdmmConfig(lam=lambdas[0], **settings)
+
+    points = _load_points(args)
+    truth = None
+    if args.truth is not None:  # after the load, since it needs N
+        truth_labels = read_labels(args.truth)
+        if truth_labels.shape[0] != len(points):
+            raise InvalidInputError(
+                f"{args.truth}: {truth_labels.shape[0]} labels for {len(points)} points"
+            )
+        truth = _clusters(truth_labels)
 
     # closing: a failed write or lambda cancels the queued lambda values and
     # joins the running ones before main reports the error

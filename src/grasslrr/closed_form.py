@@ -37,7 +37,9 @@ class LowRankCoefficients:
 class ClosedFormReport:
     """Spectrum-level account of one closed-form solve.
 
-    ``objective_value`` is the solved objective evaluated via traces,
+    ``eigenvalues_sigma`` are the r eigenvalues of G that ``psd_clamp``
+    keeps, ascending as ``sym_eig`` returns them.  ``objective_value`` is
+    the solved objective evaluated via traces,
     (1/2)[tr(G) - 2 tr(ZG) + tr(ZGZ^T)] + lam ||Z||_*; ``residual_sq`` is
     the unhalved fit term ||Z G^{1/2} - G^{1/2}||_F^2 (equal to the
     embedded-space reconstruction error when G is the point Gram matrix)

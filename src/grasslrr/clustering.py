@@ -255,8 +255,8 @@ def ncut(W, cfg: NcutConfig) -> ClusterLabels:
     """Normalized-cuts labels from the symmetric normalized Laplacian.
 
     ``sym_eig``'s eigenvectors of the ``cfg.n_clusters`` smallest eigenvalues
-    of L = I - D^{-1/2} W D^{-1/2} (zero-degree rows get D^{-1/2} = 0; the
-    last columns, reversed), sign canonicalized and row normalized, then k-means.
+    of L = I - D^{-1/2} W D^{-1/2} (zero-degree rows get D^{-1/2} = 0; its
+    first columns, ascending), sign canonicalized and row normalized, then k-means.
     An L asymmetric by more than 1e-8 of its largest entry is refused, as ``sym_eig``
     refuses it.
     """
@@ -268,7 +268,7 @@ def ncut(W, cfg: NcutConfig) -> ClusterLabels:
     degree = W.sum(axis=1)
     inv_sqrt = np.where(degree > 0.0, 1.0 / np.sqrt(np.where(degree > 0.0, degree, 1.0)), 0.0)
     L = np.eye(n) - (inv_sqrt[:, None] * W) * inv_sqrt[None, :]
-    emb = sym_eig(L).eigenvectors[:, ::-1][:, : cfg.n_clusters]
+    emb = sym_eig(L).eigenvectors[:, : cfg.n_clusters]
     emb = emb * canonical_signs(emb)
 
     norms = np.linalg.norm(emb, axis=1)

@@ -72,16 +72,19 @@ def principal_angle_cosines(X1: GrassmannPoint, X2: GrassmannPoint) -> np.ndarra
 def psd_clamp(K) -> tuple[SymEig, float]:
     """K's eigenpairs above N eps max(lambda_max, 0), and the repair magnitude.
 
-    The threshold is numpy ``matrix_rank``'s; the r eigenvectors kept are a
-    read-only N x r copy.  The magnitude is the most negative eigenvalue's
-    when it is below -1e-8 lambda_max, else 0.0.
+    The threshold is numpy ``matrix_rank``'s.  ``sym_eig``'s order is
+    ascending, so the r pairs kept are its last r, still ascending; their
+    eigenvectors are a read-only N x r copy, which frees the N - r dropped.
+    The magnitude is the most negative eigenvalue's when it is below
+    -1e-8 lambda_max, else 0.0.
     """
     eig = sym_eig(K)
     w = eig.eigenvalues
-    top = max(w[0], 0.0)
-    r = int(np.count_nonzero(w > w.size * np.finfo(np.float64).eps * top))
-    magnitude = float(-w[-1]) if w[-1] < -PSD_RTOL * top else 0.0
-    return SymEig(eigenvalues=w[:r], eigenvectors=_frozen(eig.eigenvectors[:, :r])), magnitude
+    top = max(w[-1], 0.0)
+    drop = w.size - int(np.count_nonzero(w > w.size * np.finfo(np.float64).eps * top))
+    magnitude = float(-w[0]) if w[0] < -PSD_RTOL * top else 0.0
+    kept = SymEig(eigenvalues=w[drop:], eigenvectors=_frozen(eig.eigenvectors[:, drop:]))
+    return kept, magnitude
 
 
 def _kernel_row(cross: np.ndarray, spec: KernelSpec) -> np.ndarray:

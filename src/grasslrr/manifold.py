@@ -36,9 +36,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _symmetrize(M: np.ndarray) -> np.ndarray:
-    """(M + M^T)/2, exactly symmetric; M is halved first where the sum could overflow."""
-    if np.max(np.abs(M)) > _HALF_MAX:
+def _symmetrize(M: np.ndarray, top: float | None = None) -> np.ndarray:
+    """(M + M^T)/2, exactly symmetric; M is halved first where the sum could overflow.
+
+    ``top`` is max |M| when the caller has computed it already.
+    """
+    if (np.max(np.abs(M)) if top is None else top) > _HALF_MAX:
         H = M / 2.0
         return H + H.T
     return (M + M.T) / 2.0
@@ -46,7 +49,7 @@ def _symmetrize(M: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SymEig:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
+    """Eigendecomposition of a symmetric matrix, eigenvalues ascending as LAPACK returns them."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -92,22 +95,28 @@ def canonical_signs(U: np.ndarray) -> np.ndarray:
 
 
 def sym_eig(A) -> SymEig:
-    """Eigendecomposition of a (nearly) symmetric matrix, descending order.
+    """Eigendecomposition of a (nearly) symmetric matrix, ascending order.
 
-    Asymmetry up to 1e-8 of the largest entry, both in max norm, is tolerated
-    and symmetrized away, so the outcome does not depend on A's scale;
-    anything larger is rejected, and so is an eigenvalue past float64's range.
+    The arrays are ``np.linalg.eigh``'s own, of (A + A^T)/2, made read-only
+    in place.  Asymmetry up to 1e-8 of the largest entry, both in max norm,
+    is tolerated and symmetrized away, so the outcome does not depend on A's
+    scale; anything larger is rejected, and so is an eigenvalue past
+    float64's range.
     """
     A = as_matrix(A, "A")
     if A.shape[0] != A.shape[1]:
         raise InvalidInputError(f"matrix must be square, got {A.shape}")
-    H = A / 2.0 if np.max(np.abs(A)) > _HALF_MAX else A  # so H - H^T cannot overflow
-    if np.max(np.abs(H - H.T)) > SYMMETRY_TOL * np.max(np.abs(H)):
+    top = np.max(np.abs(A))
+    # halved, H - H^T cannot overflow; halving is exact, so max |H| is top / 2
+    H, h_top = (A / 2.0, top / 2.0) if top > _HALF_MAX else (A, top)
+    if np.max(np.abs(H - H.T)) > SYMMETRY_TOL * h_top:
         raise InvalidInputError("matrix asymmetry exceeds 1e-8 of its largest entry")
-    w, V = np.linalg.eigh(_symmetrize(A))
+    w, V = np.linalg.eigh(_symmetrize(A, top))
     if not np.isfinite(w).all():  # eigh returns inf, with no warning, for such an eigenvalue
         raise InvalidInputError("matrix has an eigenvalue beyond float64 range")
-    return SymEig(eigenvalues=_frozen(w[::-1]), eigenvectors=_frozen(V[:, ::-1]))
+    w.setflags(write=False)
+    V.setflags(write=False)
+    return SymEig(eigenvalues=w, eigenvectors=V)
 
 
 def orthonormalize(M, p: int) -> GrassmannPoint:

@@ -880,6 +880,31 @@ def test_cluster_setting_is_exit_2(argv, expected, small_dataset, tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["--clusters", "1"], "need at least 2 clusters, got 1"),
+    (["--restarts", "0"], "restarts must be >= 1"),
+    (["--kmeans-max-iters", "0"], "k-means max_iters must be >= 1"),
+    (["--kernel", "ccp", "--alpha", "2"], "ccp blend weight must be in (0,1), got 2.0"),
+    (["--mu0", "nan"], "mu0 must be finite, got nan"),
+    (["--max-iters", "0"], "max-iters must be at least 1, got 0"),
+], ids=["clusters-1", "restarts-0", "kmeans-max-iters-0", "ccp-alpha-2", "mu0-nan",
+        "max-iters-0"])
+def test_bad_setting_fails_before_any_matrix_file(argv, expected, small_dataset, tmp_path,
+                                                  monkeypatch, capsys):
+    def no_load(*args, **kwargs):
+        raise AssertionError("a matrix file was read before the settings were checked")
+
+    monkeypatch.setattr("grasslrr.cli.load_points", no_load)
+    capsys.readouterr()
+    code = main(["cluster", "--data", str(small_dataset), "--method", "glrr-f", "--lambda", "1",
+                 "--clusters", "2", "--out", str(tmp_path / "o"), *argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {expected}\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("method, unread", [
     (["glrr-21", "--max-iters", "20"], ["--kernel", "ccp", "--alpha", "0.3"]),
     (["glrr-f"], ["--mu0", "5"]),

@@ -213,7 +213,7 @@ class TestGram:
             assert (K.clamp_magnitude > 0.0) == (kind != "projection")
             if K.clamp_magnitude > 0.0:
                 assert np.all(w >= 0.0)
-            assert np.all(np.diff(w) <= 0.0)
+            assert np.all(np.diff(w) >= 0.0)
             assert np.max(np.abs((V * w) @ V.T - K.values)) <= 1e-12
 
     def test_exact_symmetry(self):
@@ -387,10 +387,10 @@ class TestPsdClamp:
         out = eig.rebuild(eig.eigenvalues)
         assert magnitude > 0.0
         full = sym_eig(A + A.T)
-        r = int(np.sum(full.eigenvalues > 7 * EPS * full.eigenvalues[0]))
+        r = int(np.sum(full.eigenvalues > 7 * EPS * full.eigenvalues[-1]))
         assert 0 < r < 7
-        assert eig.eigenvalues.tobytes() == full.eigenvalues[:r].tobytes()
-        assert eig.eigenvectors.tobytes() == np.ascontiguousarray(full.eigenvectors[:, :r]).tobytes()
+        assert eig.eigenvalues.tobytes() == full.eigenvalues[7 - r:].tobytes()
+        assert eig.eigenvectors.tobytes() == np.ascontiguousarray(full.eigenvectors[:, 7 - r:]).tobytes()
         clamped = full.rebuild(np.maximum(full.eigenvalues, 0.0))
         assert np.max(np.abs(out - clamped)) <= 1e-12 * np.max(np.abs(clamped))
         assert np.array_equal(out, out.T)
@@ -408,8 +408,8 @@ class TestPsdClamp:
         for K in (G.values, A + A.T):
             eig, _ = psd_clamp(K)
             w = sym_eig(K).eigenvalues
-            assert np.all(eig.eigenvalues > K.shape[0] * EPS * w[0])
-            assert eig.eigenvalues.size == np.sum(w > K.shape[0] * EPS * w[0])
+            assert np.all(eig.eigenvalues > K.shape[0] * EPS * w[-1])
+            assert eig.eigenvalues.size == np.sum(w > K.shape[0] * EPS * w[-1])
 
 
 class TestKernelSqrt:

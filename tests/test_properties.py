@@ -32,15 +32,19 @@ from grasslrr import (
     build_delta,
     cluster_pipeline,
     hungarian,
+    kmeans,
+    ncut,
     orthonormalize,
     read_matrix,
+    sym_eig,
     synth_union,
     write_matrix,
 )
-from grasslrr import dataio
+from grasslrr import clustering, dataio
 from grasslrr.admm import SVT_EIGH_GUARD, _svt
 from grasslrr.cli import main
-from grasslrr.kernels import KERNEL_KINDS, KernelSpec, assemble_gram
+from grasslrr.kernels import KERNEL_KINDS, KernelSpec, assemble_gram, psd_clamp
+from grasslrr.manifold import canonical_signs
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
@@ -424,6 +428,57 @@ def test_pipeline_is_permutation_equivariant(method, kwargs, case):
         # swapping them leaves the affinity as it was: no labelling can follow that
         # permutation, and only there may the label names differ
         assert np.array_equal(permuted, labels)
+
+
+@PROPERTY
+@given(st.integers(2, 9), st.sampled_from(["indefinite", "psd", "rank-1"]),
+       st.integers(0, 2**32 - 1))
+def test_every_consumer_reads_sym_eigs_ascending_order(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    if kind == "indefinite":
+        A = A + A.T
+    elif kind == "psd":
+        A = A @ A.T
+    else:  # N - 1 eigenvalues at rounding level, which psd_clamp drops
+        A = np.outer(A[0], A[0])
+    A = A + 1e-10 * np.max(np.abs(A)) * rng.standard_normal((n, n))  # symmetrized away
+
+    # sym_eig: eigh's own arrays, ascending, read-only
+    eig = sym_eig(A)
+    w, V = np.linalg.eigh((A + A.T) / 2.0)
+    assert eig.eigenvalues.tobytes() == w.tobytes()
+    assert eig.eigenvectors.tobytes() == V.tobytes()
+    assert np.all(np.diff(eig.eigenvalues) >= 0.0)
+    assert not (eig.eigenvalues.flags.writeable or eig.eigenvectors.flags.writeable)
+
+    # psd_clamp: exactly the last r pairs, the eigenvectors a C-contiguous copy
+    kept, _ = psd_clamp(A)
+    r = int(np.count_nonzero(w > n * np.finfo(np.float64).eps * max(w[-1], 0.0)))
+    assert kept.eigenvalues.tobytes() == w[n - r:].tobytes()
+    assert kept.eigenvectors.tobytes() == np.ascontiguousarray(V[:, n - r:]).tobytes()
+    assert kept.eigenvectors.flags.c_contiguous and kept.eigenvectors.flags.owndata
+    assert not kept.eigenvectors.flags.writeable
+
+    # ncut: k-means runs on the first k eigenvectors of L, sign-fixed and row-normalized
+    k = 2 + seed % (n - 1)
+    seen = {}
+
+    def spy_eig(L):
+        seen["eig"] = sym_eig(L)
+        return seen["eig"]
+
+    def spy_kmeans(rows, *args):
+        seen["rows"] = rows
+        return kmeans(rows, *args)
+
+    with mock.patch.object(clustering, "sym_eig", spy_eig), \
+            mock.patch.object(clustering, "kmeans", spy_kmeans):
+        ncut(np.abs(A + A.T), NcutConfig(n_clusters=k, seed=1))
+    emb = seen["eig"].eigenvectors[:, :k]
+    emb = emb * canonical_signs(emb)
+    norms = np.linalg.norm(emb, axis=1)
+    assert seen["rows"].tobytes() == (emb / np.where(norms > 0.0, norms, 1.0)[:, None]).tobytes()
 
 
 SVT_THRESHOLDS = ("zero", "1e-14", "below-guard", "above-guard", "mid", "log-mid", "above-max")
