@@ -442,7 +442,8 @@ def test_every_consumer_reads_sym_eigs_ascending_order(n, kind, seed):
         A = A @ A.T
     else:  # N - 1 eigenvalues at rounding level, which psd_clamp drops
         A = np.outer(A[0], A[0])
-    A = A + 1e-10 * np.max(np.abs(A)) * rng.standard_normal((n, n))  # symmetrized away
+    E = rng.standard_normal((n, n))
+    A = A + 1e-10 * np.max(np.abs(A)) * (E - E.T)  # asymmetry that symmetrizing removes
 
     # sym_eig: eigh's own arrays, ascending, read-only
     eig = sym_eig(A)
