@@ -36,12 +36,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _symmetrize(M: np.ndarray, top: float | None = None) -> np.ndarray:
-    """(M + M^T)/2, exactly symmetric; M is halved first where the sum could overflow.
-
-    ``top`` is max |M| when the caller has computed it already.
-    """
-    if (np.max(np.abs(M)) if top is None else top) > _HALF_MAX:
+def _symmetrize(M: np.ndarray) -> np.ndarray:
+    """(M + M^T)/2, exactly symmetric; M is halved first where the sum could overflow."""
+    if np.max(np.abs(M)) > _HALF_MAX:
         H = M / 2.0
         return H + H.T
     return (M + M.T) / 2.0
@@ -107,11 +104,12 @@ def sym_eig(A) -> SymEig:
     if A.shape[0] != A.shape[1]:
         raise InvalidInputError(f"matrix must be square, got {A.shape}")
     top = np.max(np.abs(A))
-    # halved, H - H^T cannot overflow; halving is exact, so max |H| is top / 2
-    H, h_top = (A / 2.0, top / 2.0) if top > _HALF_MAX else (A, top)
+    halved = top > _HALF_MAX
+    # halved, H - H^T and H + H^T cannot overflow; halving is exact, so max |H| is top / 2
+    H, h_top = (A / 2.0, top / 2.0) if halved else (A, top)
     if np.max(np.abs(H - H.T)) > SYMMETRY_TOL * h_top:
         raise InvalidInputError("matrix asymmetry exceeds 1e-8 of its largest entry")
-    w, V = np.linalg.eigh(_symmetrize(A, top))
+    w, V = np.linalg.eigh(H + H.T if halved else (A + A.T) / 2.0)
     if not np.isfinite(w).all():  # eigh returns inf, with no warning, for such an eigenvalue
         raise InvalidInputError("matrix has an eigenvalue beyond float64 range")
     w.setflags(write=False)

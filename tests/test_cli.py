@@ -846,27 +846,38 @@ def test_out_of_memory_is_exit_2(method, small_dataset, tmp_path, monkeypatch, c
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv, expected", [
-    (["--lambda", ","], "no lambda values given"),
-    (["--lambda", "1,x"], "bad lambda value 'x'"),
-    (["--lambda", "1", "--kmeans-max-iters", "0"], "max_iters must be >= 1"),
-    (["--lambda", "1", "--kmeans-max-iters", "-3"], "max_iters must be >= 1"),
-    (["--lambda", "1", "--config", "{tmp}/missing.cfg"], "config file not found"),
-    (["--lambda", "1", "--clusters", "40"], "cannot split 6 points into 40 clusters"),
-    (["--lambda", "1", "--method", "glrr-21", "--max-iters", "0"], "max-iters must be at least 1"),
-    (["--lambda", "1", "--data", "{tmp}"], "manifest not found"),
-    (["--lambda", "1", "--truth", "{tmp}/missing.txt"], "labels file not found"),
+# before_load: the setting is checked before any matrix file is read
+@pytest.mark.parametrize("argv, expected, before_load", [
+    (["--lambda", ","], "no lambda values given", True),
+    (["--lambda", "1,x"], "bad lambda value 'x'", True),
+    (["--lambda", "1", "--kmeans-max-iters", "0"], "max_iters must be >= 1", True),
+    (["--lambda", "1", "--kmeans-max-iters", "-3"], "max_iters must be >= 1", True),
+    (["--lambda", "1", "--config", "{tmp}/missing.cfg"], "config file not found", True),
+    (["--lambda", "1", "--clusters", "40"], "cannot split 6 points into 40 clusters", False),
+    (["--lambda", "1", "--method", "glrr-21", "--max-iters", "0"], "max-iters must be at least 1",
+     True),
+    (["--lambda", "1", "--data", "{tmp}"], "manifest not found", False),
+    (["--lambda", "1", "--truth", "{tmp}/missing.txt"], "labels file not found", False),
     # every method's kernel spec and ADMM config are built, so checked, read or not
     (["--lambda", "1", "--kernel", "ccp", "--alpha", "2"],
-     "ccp blend weight must be in (0,1), got 2.0"),
+     "ccp blend weight must be in (0,1), got 2.0", True),
     (["--lambda", "1", "--method", "kglrr", "--kernel", "cc-sum", "--mu0", "nan"],
-     "mu0 must be finite, got nan"),
-    (["--lambda", "1", "--max-iters", "0"], "max-iters must be at least 1, got 0"),
+     "mu0 must be finite, got nan", True),
+    (["--lambda", "1", "--max-iters", "0"], "max-iters must be at least 1, got 0", True),
+    (["--lambda", "1", "--clusters", "1"], "need at least 2 clusters, got 1", True),
+    (["--lambda", "1", "--restarts", "0"], "restarts must be >= 1", True),
 ], ids=["lambda-empty-list", "lambda-non-numeric", "kmeans-max-iters-0",
         "kmeans-max-iters-negative", "config-missing", "clusters-above-n",
         "glrr-21-max-iters-0", "data-dir-without-manifest", "truth-missing",
-        "glrr-f-ccp-alpha-2", "kglrr-mu0-nan", "glrr-f-max-iters-0"])
-def test_cluster_setting_is_exit_2(argv, expected, small_dataset, tmp_path, capsys):
+        "glrr-f-ccp-alpha-2", "kglrr-mu0-nan", "glrr-f-max-iters-0", "clusters-1",
+        "restarts-0"])
+def test_cluster_setting_is_exit_2(argv, expected, before_load, small_dataset, tmp_path,
+                                   monkeypatch, capsys):
+    if before_load:
+        def no_load(*args, **kwargs):
+            raise AssertionError("a matrix file was read before the settings were checked")
+
+        monkeypatch.setattr("grasslrr.cli.load_points", no_load)
     capsys.readouterr()
     code = main(["cluster", "--data", str(small_dataset), "--method", "glrr-f",
                  "--clusters", "2", "--out", str(tmp_path / "o")]
@@ -877,31 +888,6 @@ def test_cluster_setting_is_exit_2(argv, expected, small_dataset, tmp_path, caps
     assert err.startswith("error:"), err
     assert "Traceback" not in err
     assert expected in err
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("argv, expected", [
-    (["--clusters", "1"], "need at least 2 clusters, got 1"),
-    (["--restarts", "0"], "restarts must be >= 1"),
-    (["--kmeans-max-iters", "0"], "k-means max_iters must be >= 1"),
-    (["--kernel", "ccp", "--alpha", "2"], "ccp blend weight must be in (0,1), got 2.0"),
-    (["--mu0", "nan"], "mu0 must be finite, got nan"),
-    (["--max-iters", "0"], "max-iters must be at least 1, got 0"),
-], ids=["clusters-1", "restarts-0", "kmeans-max-iters-0", "ccp-alpha-2", "mu0-nan",
-        "max-iters-0"])
-def test_bad_setting_fails_before_any_matrix_file(argv, expected, small_dataset, tmp_path,
-                                                  monkeypatch, capsys):
-    def no_load(*args, **kwargs):
-        raise AssertionError("a matrix file was read before the settings were checked")
-
-    monkeypatch.setattr("grasslrr.cli.load_points", no_load)
-    capsys.readouterr()
-    code = main(["cluster", "--data", str(small_dataset), "--method", "glrr-f", "--lambda", "1",
-                 "--clusters", "2", "--out", str(tmp_path / "o"), *argv])
-    out, err = capsys.readouterr()
-    assert code == 2
-    assert out == ""
-    assert err == f"error: {expected}\n"
     assert not (tmp_path / "o").exists()
 
 

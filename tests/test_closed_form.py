@@ -138,9 +138,9 @@ class TestGlrrFSolve:
         rng = np.random.default_rng(8)
         G = gram([random_point(rng, 6, 2) for _ in range(9)], KernelSpec(kind="projection"))
         sigma = G.eig.eigenvalues
-        lam = 0.4 * float(sigma[0])
+        lam = 0.4 * float(sigma[-1])
         Z, _ = glrr_f_solve(G, lam)
-        eff = np.where(sigma > 1e-12 * sigma[0], sigma, 0.0)
+        eff = np.where(sigma > 1e-12 * sigma[-1], sigma, 0.0)
         shrunk = np.where(eff > lam, 1.0 - lam / np.where(eff > lam, eff, 1.0), 0.0)
         assert Z.Z.tobytes() == G.eig.rebuild(shrunk).tobytes()
 
