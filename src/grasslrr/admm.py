@@ -220,7 +220,7 @@ def rho_rule(change: float, config: AdmmConfig) -> float:
     return config.rho0 if change <= config.eps2 else 1.0
 
 
-def mu_update(mu: float, rho_applied: float, mu_max: float = 1e10) -> float:
+def mu_update(mu: float, rho_applied: float, mu_max: float) -> float:
     return min(rho_applied * mu, mu_max)
 
 
@@ -240,6 +240,8 @@ def _gap(lam_d, QT, Zh, Xh, shrunk, lam: float) -> tuple[float, float, float]:
     return primal, dual, (primal - dual) / primal
 
 
+# an overflowing iterate fails the loop's finiteness check; numpy's warning would precede it
+@np.errstate(over="ignore", invalid="ignore")
 def admm_solve(
     delta: KernelMatrix,
     config: AdmmConfig,
@@ -258,13 +260,13 @@ def admm_solve(
     lam_d, Q = eig.eigenvalues, eig.eigenvectors
     n = Q.shape[0]
     sigma_max = float(np.max(lam_d, initial=0.0))
+    if not (sigma_max > 0.0):
+        raise InvalidInputError("delta must have a positive eigenvalue")
     eta = ETA_MARGIN * sigma_max if config.eta is None else float(config.eta)
     if not (eta > sigma_max):
         raise InvalidConfigError(
             f"eta={eta} must exceed the largest Gram eigenvalue {sigma_max}"
         )
-    if not (sigma_max > 0.0):
-        raise InvalidInputError("delta must have a positive eigenvalue")
     x_norm = math.sqrt(sigma_max)
     QT = np.ascontiguousarray(Q.T)  # coordinates of the identity
     grad_scale = lam_d[:, None] / eta

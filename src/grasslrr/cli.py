@@ -36,6 +36,8 @@ from .evaluation import accuracy
 from .kernels import KERNEL_KINDS, KernelSpec
 from .parallel import page_bytes
 
+ADMM_SETTINGS = [f for f in fields(AdmmConfig) if f.name != "lam"]  # cluster_sweep sets lam
+
 
 def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     """The ``grasslrr`` parser and its ``cluster`` subparser, whose defaults --config sets."""
@@ -73,15 +75,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     cluster.add_argument("--p", type=int, default=None)
     cluster.add_argument("--standardize", action="store_true")
     cluster.add_argument("--kernel", default="projection", choices=KERNEL_KINDS)
-    cluster.add_argument("--alpha", type=float, default=None)  # KernelSpec: 0.5 for ccp
-    # dests name AdmmConfig's fields; cmd_cluster passes them on by name
-    cluster.add_argument("--mu0", type=float, default=AdmmConfig.mu0)
-    cluster.add_argument("--rho0", type=float, default=AdmmConfig.rho0)
-    cluster.add_argument("--mu-max", type=float, default=AdmmConfig.mu_max)
-    cluster.add_argument("--eta", type=float, default=AdmmConfig.eta)
-    cluster.add_argument("--eps1", type=float, default=AdmmConfig.eps1)
-    cluster.add_argument("--eps2", type=float, default=AdmmConfig.eps2)
-    cluster.add_argument("--max-iters", type=int, default=AdmmConfig.max_iters)
+    cluster.add_argument("--alpha", type=float, default=None)
+    # one flag per ADMM setting, its dest the field that cmd_cluster passes it on to
+    for f in ADMM_SETTINGS:
+        cluster.add_argument("--" + f.name.replace("_", "-"), default=f.default,
+                             type=int if type(f.default) is int else float)
     cluster.add_argument("--restarts", type=int, default=NcutConfig.restarts)
     cluster.add_argument("--kmeans-max-iters", type=int, default=NcutConfig.max_iters)
     cluster.set_defaults(func=cmd_cluster)
@@ -195,9 +193,9 @@ def cmd_cluster(args) -> int:
     kernel_spec = KernelSpec(kind=args.kernel, alpha=args.alpha)
     if args.max_iters < 1:  # AdmmConfig takes 0 (the all-zero start), but that is no solve
         raise InvalidInputError(f"max-iters must be at least 1, got {args.max_iters}")
-    # cluster_sweep replaces lam with each swept value
-    settings = {f.name: getattr(args, f.name) for f in fields(AdmmConfig) if f.name != "lam"}
-    admm_cfg = AdmmConfig(lam=lambdas[0], **settings)
+    if args.p is not None and args.p < 1:
+        raise InvalidInputError(f"p must be at least 1, got {args.p}")
+    admm_cfg = AdmmConfig(lam=lambdas[0], **{f.name: getattr(args, f.name) for f in ADMM_SETTINGS})
 
     points = _load_points(args)
     truth = None

@@ -218,9 +218,9 @@ def _lloyd_batch(canon: np.ndarray, centers: np.ndarray,
 def kmeans(
     rows,
     n_clusters: int,
-    restarts: int = 20,
-    max_iters: int = 300,
-    seed: int = 0,
+    restarts: int = NcutConfig.restarts,
+    max_iters: int = NcutConfig.max_iters,
+    seed: int = NcutConfig.seed,
 ) -> ClusterLabels:
     """Best-of-restarts Lloyd's algorithm with order-independent k-means++ seeding.
 
@@ -324,8 +324,7 @@ def _solve_lambda(G, method: str, lam: float, ncut_cfg: NcutConfig,
     if method == "glrr-21":
         cfg = AdmmConfig(lam=lam) if admm_cfg is None else replace(admm_cfg, lam=lam)
         coeffs, _ecoef, report = admm_solve(G, cfg)
-        s = report.z_singular_values
-        rank_z = int(np.sum(s > 1e-10 * s[0]))
+        rank_z = int(np.count_nonzero(report.z_singular_values))
         iterations, converged = report.iterations, report.converged
     else:
         coeffs, report = glrr_f_solve(G, lam)

@@ -30,7 +30,10 @@ GRAM_PAIRS_PER_THREAD = 1 << 14
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel selection; ``alpha`` is the blend weight and only legal for ccp."""
+    """Kernel selection and ccp's blend weight ``alpha``, 0.5 when None.
+
+    ``alpha`` is checked to lie in (0, 1) for every kind and kept for ccp only.
+    """
 
     kind: str
     alpha: float | None = None
@@ -38,13 +41,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise InvalidConfigError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "ccp":
-            a = 0.5 if self.alpha is None else float(self.alpha)
-            if not (0.0 < a < 1.0):
-                raise InvalidConfigError(f"ccp blend weight must be in (0,1), got {a}")
-            object.__setattr__(self, "alpha", a)
-        else:
-            object.__setattr__(self, "alpha", None)
+        a = 0.5 if self.alpha is None else float(self.alpha)
+        if not (0.0 < a < 1.0):
+            raise InvalidConfigError(f"ccp blend weight must be in (0,1), got {a}")
+        object.__setattr__(self, "alpha", a if self.kind == "ccp" else None)
 
 
 @dataclass(frozen=True)

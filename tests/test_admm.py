@@ -255,12 +255,12 @@ class TestPenaltySchedule:
     def test_growth_when_stable(self):
         cfg = AdmmConfig(lam=1.0)
         assert rho_rule(5e-5, cfg) == 1.9
-        assert mu_update(2.0, 1.9) == pytest.approx(3.8)
+        assert mu_update(2.0, 1.9, cfg.mu_max) == pytest.approx(3.8)
 
     def test_frozen_when_moving(self):
         cfg = AdmmConfig(lam=1.0)
         assert rho_rule(5e-3, cfg) == 1.0
-        assert mu_update(2.0, 1.0) == 2.0
+        assert mu_update(2.0, 1.0, cfg.mu_max) == 2.0
 
     def test_cap(self):
         assert mu_update(1e10, 1.9, mu_max=1e10) == 1e10
@@ -403,9 +403,11 @@ class TestAdmmSolve:
         assert np.max(np.abs(E - Q @ (Q.T @ E))) <= 1e-12
 
     def test_gram_matrix_without_positive_eigenvalue_rejected(self):
-        # an explicit eta passes the spectrum check; the solve needs delta's range
-        with pytest.raises(InvalidInputError, match="positive eigenvalue"):
-            admm_solve(np.zeros((3, 3)), AdmmConfig(lam=1.0, eta=1.0))
+        # checked before eta is resolved: the default eta is no setting to blame,
+        # and an explicit one passes the spectrum check but not the solve
+        for eta in (None, 1.0):
+            with pytest.raises(InvalidInputError, match="positive eigenvalue"):
+                admm_solve(np.zeros((3, 3)), AdmmConfig(lam=1.0, eta=eta))
 
     def test_memory_independent_of_ambient_dimension(self):
         # solver state lives in N x N coefficient space; with d = 3000 a single

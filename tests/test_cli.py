@@ -15,7 +15,6 @@ import grasslrr
 from grasslrr import accuracy as lib_accuracy
 from grasslrr import ClusterLabels, clustering, dataio, read_labels, read_matrix, write_matrix
 from grasslrr.cli import main
-from grasslrr.errors import NumericalDivergenceError
 from oracles import load_report
 
 
@@ -325,16 +324,20 @@ class TestClusterCommand:
                      "--lambda", "1", "--clusters", "4", "--out", str(tmp_path / "o")])
         assert code == 2
 
-    def test_divergence_exit_code(self, tmp_path, monkeypatch):
+    def test_divergence_exit_code(self, tmp_path, capsys):
+        # legal settings whose uncapped penalty overflows to inf at iteration 2,
+        # so inf times the residual makes the multiplier non-finite
         data = run_synth(tmp_path, seed=23)
-
-        def explode(*args, **kwargs):
-            raise NumericalDivergenceError("non-finite iterate at iteration 5")
-
-        monkeypatch.setattr("grasslrr.cli.cluster_sweep", explode)
+        capsys.readouterr()
         code = main(["cluster", "--data", str(data), "--method", "glrr-21",
-                     "--lambda", "1", "--clusters", "4", "--out", str(tmp_path / "o")])
+                     "--lambda", "1", "--clusters", "4", "--out", str(tmp_path / "o"),
+                     "--mu0", "1e10", "--rho0", "1e308", "--mu-max", "inf",
+                     "--eps1", "1e-300", "--eps2", "1e308"])
+        out, err = capsys.readouterr()
         assert code == 3
+        assert err == "error: non-finite iterate at iteration 2\n"
+        assert out == ""
+        assert not (tmp_path / "o").exists()
 
     def test_abbreviated_flag_is_usage_error(self, tmp_path):
         # an abbreviation would slip past --config's explicit-flag check and
@@ -592,6 +595,8 @@ MALFORMED_INPUTS = {
                                   "non-finite value at line 3, column 2"),
     "matrix-header-rows": ("matrix", b"3 2\n1 0\n0 1\n", "3 rows"),
     "matrix-header-text": ("matrix", b"two 2\n1 0\n0 1\n", "header"),
+    "matrix-header-zero-rows": ("matrix", b"0 3\n", "header dimensions must be positive"),
+    "matrix-empty": ("matrix", b"", "empty matrix file"),
     "truth-non-utf8": ("truth", b"0\n\xff\n", "line 2"),
     "truth-non-numeric": ("truth", b"0\nB\n", "line 2"),
     "truth-nan": ("truth", b"nan\n", "line 1"),
@@ -606,6 +611,9 @@ MALFORMED_INPUTS = {
     "config-non-utf8": ("config", b"seed=1\nrestarts=\xff\n", "line 2"),
     "config-non-utf8-cr-only": ("config", b"seed=1\rrestarts=\xff\r", "line 2"),
     "config-unknown-key": ("config", b"wibble=1\n", "line 1"),
+    # a comment line is skipped, whatever it holds, but counted
+    "config-comment-then-bad-entry": ("config", b"# wibble=1\nseed=x\n",
+                                      "line 2: bad value for seed"),
     "config-missing-equals": ("config", b"seed\n", "line 1"),
     "config-bad-int": ("config", b"seed=x\n", "line 1: bad value for seed"),
     "config-bad-float": ("config", b"seed=1\nalpha=half\n", "line 2: bad value for alpha"),
@@ -866,11 +874,21 @@ def test_out_of_memory_is_exit_2(method, small_dataset, tmp_path, monkeypatch, c
     (["--lambda", "1", "--max-iters", "0"], "max-iters must be at least 1, got 0", True),
     (["--lambda", "1", "--clusters", "1"], "need at least 2 clusters, got 1", True),
     (["--lambda", "1", "--restarts", "0"], "restarts must be >= 1", True),
+    (["--lambda", "1", "--p", "0"], "p must be at least 1, got 0", True),
+    # alpha is range-checked for every kernel, though only ccp reads it
+    (["--lambda", "1", "--alpha", "nan"], "blend weight must be in (0,1), got nan", True),
+    (["--lambda", "1", "--method", "glrr-21", "--alpha", "2"],
+     "blend weight must be in (0,1), got 2.0", True),
+    (["--lambda", "1", "--method", "kglrr", "--kernel", "cc-sum", "--config", "cfg:alpha=-1"],
+     "blend weight must be in (0,1), got -1.0", True),
+    # argparse checks a flag against its choices, but not a default --config sets
+    (["--lambda", "1", "--config", "cfg:kernel=foo"], "unknown kernel kind 'foo'", True),
 ], ids=["lambda-empty-list", "lambda-non-numeric", "kmeans-max-iters-0",
         "kmeans-max-iters-negative", "config-missing", "clusters-above-n",
         "glrr-21-max-iters-0", "data-dir-without-manifest", "truth-missing",
         "glrr-f-ccp-alpha-2", "kglrr-mu0-nan", "glrr-f-max-iters-0", "clusters-1",
-        "restarts-0"])
+        "restarts-0", "p-0", "glrr-f-alpha-nan", "glrr-21-alpha-2", "kglrr-cc-sum-config-alpha",
+        "config-kernel-foo"])
 def test_cluster_setting_is_exit_2(argv, expected, before_load, small_dataset, tmp_path,
                                    monkeypatch, capsys):
     if before_load:
@@ -878,10 +896,16 @@ def test_cluster_setting_is_exit_2(argv, expected, before_load, small_dataset, t
             raise AssertionError("a matrix file was read before the settings were checked")
 
         monkeypatch.setattr("grasslrr.cli.load_points", no_load)
+
+    def arg(text):
+        if text.startswith("cfg:"):  # a --config file of this one entry
+            (tmp_path / "run.cfg").write_text(text[4:] + "\n")
+            return str(tmp_path / "run.cfg")
+        return text.format(tmp=tmp_path)
+
     capsys.readouterr()
     code = main(["cluster", "--data", str(small_dataset), "--method", "glrr-f",
-                 "--clusters", "2", "--out", str(tmp_path / "o")]
-                + [arg.format(tmp=tmp_path) for arg in argv])
+                 "--clusters", "2", "--out", str(tmp_path / "o")] + [arg(a) for a in argv])
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
@@ -894,7 +918,8 @@ def test_cluster_setting_is_exit_2(argv, expected, before_load, small_dataset, t
 @pytest.mark.parametrize("method, unread", [
     (["glrr-21", "--max-iters", "20"], ["--kernel", "ccp", "--alpha", "0.3"]),
     (["glrr-f"], ["--mu0", "5"]),
-], ids=["glrr-21-kernel", "glrr-f-mu0"])
+    (["kglrr", "--kernel", "cc-sum"], ["--alpha", "0.3"]),
+], ids=["glrr-21-kernel", "glrr-f-mu0", "cc-sum-alpha"])
 def test_unread_setting_leaves_the_run_unchanged(method, unread, small_dataset, tmp_path, capsys):
     runs = []
     for name, extra in (("plain", []), ("unread", unread)):

@@ -92,6 +92,10 @@ class TestAffinity:
         Z = LowRankCoefficients(Z=rng.standard_normal((4, 4)))
         assert affinity_from_Z(Z).shape == (4, 4)
 
+    def test_non_square_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"Z must be square, got \(2, 3\)"):
+            affinity_from_Z(np.ones((2, 3)))
+
 
 class TestKmeans:
     def test_two_separated_groups(self):
@@ -400,6 +404,10 @@ class TestNcut:
     def test_too_many_clusters(self):
         with pytest.raises(InvalidConfigError):
             ncut(np.ones((3, 3)), NcutConfig(n_clusters=4))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"affinity must be square, got \(3, 4\)"):
+            ncut(np.ones((3, 4)), NcutConfig(n_clusters=2))
 
     def test_laplacian_goes_through_sym_eig(self, monkeypatch):
         # the one spectral seam: ncut's only eigendecomposition is manifold.sym_eig's eigh

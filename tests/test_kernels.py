@@ -18,7 +18,7 @@ from grasslrr import (
 )
 from grasslrr import kernels
 from grasslrr.closed_form import build_delta
-from grasslrr.kernels import KernelMatrix, assemble_gram, gram_workers, psd_clamp
+from grasslrr.kernels import KERNEL_KINDS, KernelMatrix, assemble_gram, gram_workers, psd_clamp
 from grasslrr.manifold import SymEig
 from oracles import k_cc, k_ccp, k_projection
 
@@ -134,8 +134,13 @@ class TestKernelValues:
         for alpha in (0.0, 1.0, -0.3, 2.0):
             with pytest.raises(InvalidConfigError):
                 k_ccp(X, X, alpha)
-        with pytest.raises(InvalidConfigError):
-            KernelSpec(kind="ccp", alpha=1.5)
+        # KernelSpec checks alpha for every kind, and keeps it for ccp only, 0.5 if not given
+        for kind in KERNEL_KINDS:
+            for alpha in (0.0, 1.0, -0.3, 1.5, float("nan"), float("inf")):
+                with pytest.raises(InvalidConfigError, match="blend weight must be in"):
+                    KernelSpec(kind=kind, alpha=alpha)
+            assert KernelSpec(kind=kind, alpha=0.3).alpha == (0.3 if kind == "ccp" else None)
+            assert KernelSpec(kind=kind).alpha == (0.5 if kind == "ccp" else None)
 
     def test_order_inequalities(self):
         # cos^2 <= cos on [0,1] forces k_p <= k_cc_sum; max <= sum trivially

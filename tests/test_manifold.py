@@ -99,6 +99,10 @@ class TestSymEig:
         with pytest.raises(InvalidInputError):
             sym_eig(A)
 
+    def test_non_square_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"must be square, got \(3, 2\)"):
+            sym_eig(np.ones((3, 2)))
+
     def test_small_asymmetry_symmetrized(self):
         A = np.eye(3)
         A[0, 1] = 5e-9
