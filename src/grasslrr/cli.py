@@ -92,11 +92,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     return parser, cluster
 
 
+def _switch(value: str) -> bool:
+    """1/true/yes is true and 0/false/no false, in any case; any other word is refused."""
+    word = value.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(value)
+    return word in ("1", "true", "yes")
+
+
 def _config_defaults(path: str, cluster: argparse.ArgumentParser) -> dict:
     """Read --config's key=value lines into defaults keyed by dest.
 
     A key is a flag name without ``--``, and its value is converted the way
-    that flag converts it; a store_true flag takes 1/true/yes as true.
+    that flag converts it; a store_true flag takes ``_switch``'s words.
     """
     flags = {
         action.option_strings[0][2:]: action
@@ -112,11 +120,9 @@ def _config_defaults(path: str, cluster: argparse.ArgumentParser) -> dict:
         action = flags.get(key)
         if not sep or action is None:
             raise InvalidInputError(f"{path}: line {line_no}: unknown config entry {stripped!r}")
-        if action.nargs == 0:
-            defaults[action.dest] = value.lower() in ("1", "true", "yes")
-            continue
+        convert = _switch if action.nargs == 0 else action.type or str
         try:
-            defaults[action.dest] = (action.type or str)(value)
+            defaults[action.dest] = convert(value)
         except ValueError:
             raise InvalidInputError(
                 f"{path}: line {line_no}: bad value for {key}: {value!r}"

@@ -4,13 +4,14 @@ Matrix files carry a "<rows> <cols>" header followed by one line per row;
 values are written as lowercase hexadecimal floats (``float.hex``) so a
 write/read round trip is bit-exact, while plain decimals in ``float()``
 syntax are accepted on read.  The writer formats blocks of rows from the
-float64 bit fields; the reader converts a whole file of either form in one
-bulk pass, keeping the per-token parser for files mixing the two and for
-the positioned error messages.  Manifests hold one
-"<relative-path><TAB><label>" entry per line and ``#`` comments; like every
-text input they are read through ``read_lines``.  ``load_points`` is the one
-path from a manifest to Grassmann points: each entry's matrix is read and
-embedded once, in forked workers when the files are large enough.
+float64 bit fields, taking the mantissa digits from ``bytes.hex()`` of each
+big-endian word and the exponent suffixes from ``%+d``; the reader converts
+a whole file of either form in one bulk pass, keeping the per-token parser
+for files mixing the two and for the positioned error messages.  Manifests
+hold one "<relative-path><TAB><label>" entry per line and ``#`` comments;
+like every text input they are read through ``read_lines``.  ``load_points``
+is the one path from a manifest to Grassmann points: each entry's matrix is
+read and embedded once, in forked workers when the files are large enough.
 """
 
 from __future__ import annotations
@@ -80,32 +81,14 @@ class SynthSpec:
 
 
 # float.hex pieces, written from the float64 bit fields: sign, "0x1."/"0x0.",
-# 13 mantissa nibbles and a "p<exp>" suffix per value, NUL-padded to a fixed
-# width and squeezed out before writing
-_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
-_HEX_PAIRS = _HEX_DIGITS[np.arange(256)[:, None] >> np.array([4, 0]) & 15]  # octet -> 2 digits
-_ZERO_FIELD = 2047  # the inf/nan exponent never reaches the writer; zeros borrow its row
-_SUFFIX_WIDTH = 6  # "p-1022"
-_CELL_WIDTH = 1 + 4 + 13 + _SUFFIX_WIDTH + 1  # sign, lead, nibbles, suffix, separator
+# the word's last 13 of 16 big-endian hex digits (bytes.hex) and a "p%+d"
+# suffix per value, NUL-padded to a fixed width and squeezed out before writing
+_CELL_WIDTH = 1 + 4 + 13 + 6 + 1  # sign, lead, digits, suffix ("p-1022"), separator
 _BLOCK_VALUES = 1 << 15  # values per block, written: a few MB of temporaries
-
-
-def _exponent_suffixes() -> np.ndarray:
-    """Row e holds the float.hex suffix of exponent field e; subnormals share p-1022."""
-    exponent = np.maximum(np.arange(_ZERO_FIELD + 1), 1) - 1023
-    exponent[_ZERO_FIELD] = 0
-    magnitude = np.abs(exponent)[:, None]
-    place = np.array([1000, 100, 10, 1])
-    digits = (magnitude // place % 10 + ord("0")).astype(np.uint8)
-    digits[(magnitude < place) & (place > 1)] = 0  # leading zeros become NUL padding
-    table = np.empty((_ZERO_FIELD + 1, _SUFFIX_WIDTH), dtype=np.uint8)
-    table[:, 0] = ord("p")
-    table[:, 1] = np.where(exponent < 0, ord("-"), ord("+"))
-    table[:, 2:] = digits
-    return table
-
-
-_EXPONENT_SUFFIXES = _exponent_suffixes()
+# row e: exponent field e's suffix, subnormals sharing p-1022; the inf/nan field
+# 2047 never reaches the writer, so zeros borrow its row for p+0
+_SUFFIXES = np.array([b"p%+d" % (max(e, 1) - 1023) for e in range(2047)] + [b"p+0"],
+                     dtype="S6").view(np.uint8).reshape(2048, 6)
 
 
 def _block_rows(cols: int) -> int:
@@ -116,19 +99,17 @@ def _hex_block(block: np.ndarray) -> bytes:
     """The lines of a finite float64 block, each value formatted as ``float.hex`` does."""
     rows, cols = block.shape
     bits = np.ascontiguousarray(block, dtype="<f8").view("<u8").reshape(-1)
-    # little-endian octets: 7 holds the sign, 6 the top mantissa nibble, 5..0 the rest
-    octets = bits.view(np.uint8).reshape(-1, 8)
+    digits = np.frombuffer(bits.astype(">u8").tobytes().hex().encode(), dtype=np.uint8)
     field = (bits >> np.uint64(52)).astype(np.intp) & 2047
     zero = (bits << np.uint64(1)) == 0
     cells = np.zeros((bits.size, _CELL_WIDTH), dtype=np.uint8)
-    cells[:, 0] = np.where(octets[:, 7] >> 7, ord("-"), 0)
+    cells[:, 0] = np.where(bits >> np.uint64(63), ord("-"), 0)
     cells[:, 1:5] = np.frombuffer(b"0x1.", dtype=np.uint8)
     cells[field == 0, 3] = ord("0")
-    cells[:, 5] = np.take(_HEX_DIGITS, octets[:, 6] & 15)
-    cells[:, 6:18] = np.take(_HEX_PAIRS, octets[:, 5::-1], axis=0).reshape(-1, 12)
+    cells[:, 5:18] = digits.reshape(-1, 16)[:, 3:]
     cells[zero, 6:18] = 0  # 0x0.0p+0
-    field[zero] = _ZERO_FIELD
-    cells[:, 18:24] = np.take(_EXPONENT_SUFFIXES, field, axis=0)
+    field[zero] = 2047
+    cells[:, 18:24] = np.take(_SUFFIXES, field, axis=0)
     cells = cells.reshape(rows, cols, _CELL_WIDTH)
     cells[:, :-1, -1] = ord(" ")
     cells[:, -1, -1] = ord("\n")

@@ -410,6 +410,7 @@ class TestConfigPrecedence:
     @pytest.mark.parametrize("entry, flags, extra", [
         ("standardize=true", ["--standardize"], ["--method", "glrr-f"]),
         ("alpha=0.3", ["--alpha", "0.3"], ["--method", "kglrr", "--kernel", "ccp"]),
+        ("standardize=no", [], ["--method", "glrr-f"]),
     ])
     def test_file_entry_equals_flag(self, tmp_path, capsys, entry, flags, extra):
         data = run_synth(tmp_path, seed=43)
@@ -421,7 +422,8 @@ class TestConfigPrecedence:
         assert self.cluster(data, tmp_path / "plain", *common) == 0
         z_file = (tmp_path / "file" / "Z.mat").read_bytes()
         assert z_file == (tmp_path / "flag" / "Z.mat").read_bytes()
-        assert z_file != (tmp_path / "plain" / "Z.mat").read_bytes()
+        # an entry that sets a flag moves Z; one that gives the flag's default does not
+        assert (z_file == (tmp_path / "plain" / "Z.mat").read_bytes()) == (not flags)
 
     @pytest.mark.parametrize("entry", ["help=1", "config=x"])
     def test_non_setting_keys_are_unknown(self, tmp_path, capsys, entry):
@@ -619,6 +621,10 @@ MALFORMED_INPUTS = {
     "config-bad-float": ("config", b"seed=1\nalpha=half\n", "line 2: bad value for alpha"),
     "config-nan-int": ("config", b"restarts=nan\n", "line 1: bad value for restarts"),
     "config-inf-int": ("config", b"p=inf\n", "line 1: bad value for p"),
+    "config-standardize-typo": ("config", b"standardize=ture\n",
+                                "line 1: bad value for standardize"),
+    "config-standardize-empty": ("config", b"standardize=\n",
+                                 "line 1: bad value for standardize"),
     "manifest-comment-only": ("manifest", b"# no points\n", "lists no data"),
 }
 

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import pickle
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,18 @@ class TestMatrixRoundTrip:
             " ".join(float(v).hex() for v in row) + "\n" for row in M
         )
         assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_write_temporaries_stay_a_few_mb(self):
+        # blocks of _BLOCK_VALUES values; one block for the whole matrix would hold
+        # 4e6 cells of 25 bytes, over 100 MB
+        M = np.random.default_rng(0).standard_normal((2000, 2000))
+        tracemalloc.start()
+        try:
+            write_matrix(os.devnull, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_decimal_accepted(self, tmp_path):
         path = tmp_path / "m.mat"

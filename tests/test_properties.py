@@ -110,17 +110,28 @@ def finite_bit_patterns(seed, shape):
     return bits.view(np.float64)
 
 
-@pytest.mark.parametrize("shape", block_edge_shapes(), ids=lambda s: f"{s[0]}x{s[1]}")
+def every_exponent_field():
+    """2^(e-1023) for every normal exponent field e, the smallest and largest subnormal,
+    the largest normal and 0 in row 0; the negation of each in row 1."""
+    f = np.finfo(np.float64)
+    values = np.r_[np.ldexp(1.0, np.arange(-1022, 1024)), f.smallest_subnormal,
+                   np.nextafter(f.tiny, 0.0), f.max, 0.0]
+    return np.stack([values, -values])
+
+
+# None is the fixed input, which reaches every row of the writer's suffix table
+@pytest.mark.parametrize("shape", [*block_edge_shapes(), None],
+                         ids=lambda s: "every-exponent-field" if s is None else f"{s[0]}x{s[1]}")
 @settings(PROPERTY, max_examples=6)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_hex_bytes_match_float_hex(shape, seed):
-    M = finite_bit_patterns(seed, shape)
+    M = every_exponent_field() if shape is None else finite_bit_patterns(seed, shape)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "M.mat")
         write_matrix(path, M)
         with open(path, "rb") as fh:
             written = fh.read()
-    expected = [f"{shape[0]} {shape[1]}".encode()] + [
+    expected = [f"{M.shape[0]} {M.shape[1]}".encode()] + [
         " ".join(map(float.hex, row)).encode() for row in M.tolist()
     ]
     lines = written.split(b"\n")
