@@ -40,7 +40,7 @@ from .errors import InvalidConfigError, InvalidInputError
 from .kernels import KernelSpec, gram
 from .manifold import GrassmannPoint, _symmetrize, as_matrix, canonical_signs, sym_eig
 from .parallel import ordered_map, page_bytes, system_cpus, worker_count
-from .rng import substream_states, units
+from .rng import SplitMix64
 
 METHODS = ("glrr-f", "glrr-21", "kglrr")
 _EPS = np.finfo(np.float64).eps
@@ -109,17 +109,15 @@ def _kmeanspp_batch(canon: np.ndarray, k: int, restarts: int, seed: int) -> np.n
     takes its lowest unused index.
     """
     n = canon.shape[0]
-    states = substream_states(seed, restarts)
+    streams = [SplitMix64.substream(seed, r) for r in range(restarts)]
     chosen = np.empty((restarts, k), dtype=np.int64)
-    chosen[:, 0] = np.minimum((units(states) * n).astype(np.int64), n - 1)
+    chosen[:, 0] = np.minimum((np.array([s.unit() for s in streams]) * n).astype(np.int64), n - 1)
     diff = canon - canon[chosen[:, :1]]  # (restarts, n, m), reused for every pick
     d2 = np.sum(np.square(diff, out=diff), axis=2)
     for t in range(1, k):
         totals = d2.sum(axis=1)
         draw = totals > 0.0
-        drawing = states[draw]
-        u = units(drawing) * totals[draw]
-        states[draw] = drawing
+        u = np.array([streams[r].unit() for r in np.flatnonzero(draw)]) * totals[draw]
         # the count of cumulative masses <= u is searchsorted(side="right") of a nondecreasing row
         picks = np.count_nonzero(np.cumsum(d2[draw], axis=1) <= u[:, None], axis=1)
         chosen[draw, t] = np.minimum(picks, n - 1)

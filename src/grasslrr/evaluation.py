@@ -14,6 +14,7 @@ import numpy as np
 
 from .clustering import ClusterLabels
 from .errors import InvalidInputError
+from .manifold import as_matrix
 
 
 @dataclass(frozen=True)
@@ -77,11 +78,7 @@ def hungarian(cost) -> list[int]:
     Rectangular inputs are padded to square with a cost exceeding every real
     entry, so unmatched rows land on dummy columns (index >= original cols).
     """
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.size == 0:
-        raise InvalidInputError(f"cost must be a nonempty 2-D matrix, got shape {cost.shape}")
-    if not np.isfinite(cost).all():
-        raise InvalidInputError("cost contains non-finite entries")
+    cost = as_matrix(cost, "cost")
     n, m = cost.shape
     side = max(n, m)
     pad_value = float(cost.max()) + 1.0

@@ -4,7 +4,9 @@ The generator is SplitMix64 (Steele, Lea & Flood 2014; the mixer behind
 ``java.util.SplittableRandom``): a 64-bit counter advanced by the golden-ratio
 increment 0x9E3779B97F4A7C15, scrambled by a two-multiply xor-shift finalizer.
 It is pinned here, rather than delegating to ``numpy.random``, so that every
-fixture is reproducible by any implementation of the same mixer.
+fixture is reproducible by any implementation of the same mixer.  This module
+is the package's only implementation of it: k-means restart r of seed s draws
+its seeding from ``SplitMix64.substream(s, r)``.
 
 Derived quantities are defined on top of the raw 64-bit stream:
 
@@ -26,7 +28,6 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_U64 = np.uint64
 
 
 def mix64(z: int) -> int:
@@ -79,23 +80,3 @@ class SplitMix64:
             flat[i] = self.gaussian()
         return out
 
-
-def _mix64_words(words: np.ndarray) -> np.ndarray:
-    """``mix64`` of each word of a uint64 array, as a new array (uint64 arithmetic wraps)."""
-    z = words ^ (words >> _U64(30))
-    z *= _U64(0xBF58476D1CE4E5B9)
-    z ^= z >> _U64(27)
-    z *= _U64(0x94D049BB133111EB)
-    z ^= z >> _U64(31)
-    return z
-
-
-def substream_states(seed: int, count: int) -> np.ndarray:
-    """The uint64 states of ``SplitMix64.substream(seed, r)`` for r < count, for ``units``."""
-    return _mix64_words(np.arange(1, count + 1, dtype=_U64) * _U64(_GOLDEN) + _U64(seed & _MASK64))
-
-
-def units(states: np.ndarray) -> np.ndarray:
-    """Advance each stream state of ``states`` in place by one word; each stream's ``unit()``."""
-    states += _U64(_GOLDEN)
-    return (_mix64_words(states) >> _U64(11)).astype(np.float64) * 2.0**-53

@@ -307,6 +307,21 @@ class TestKmeansRestartsBatched:
         direct = np.sum((canon[:, None, :] - centers[0]) ** 2, axis=2)
         assert labels.tolist() == [[int(np.argmin(direct))]]
 
+    @pytest.mark.parametrize("seed", [0, 7, -1, 2**63, 2**64 - 3, 2**70 + 5])
+    def test_seeding_reads_each_restarts_substream(self, seed):
+        # four copies each of five distinct rows: a restart that picks all five
+        # has no mass left and takes its sixth centre without a draw
+        base = np.random.default_rng(3).standard_normal((5, 2))
+        rows = np.repeat(base, 4, axis=0)
+        canon = rows[np.lexsort(rows.T[::-1])]
+        k, restarts = 7, 40
+        chosen = clustering._kmeanspp_batch(canon, k, restarts, seed)
+        for r in range(restarts):
+            want = kmeanspp_init(canon, k, SplitMix64.substream(seed, r))
+            assert np.array_equal(canon[chosen[r]], want)
+        assert np.array_equal(kmeans(rows, 5, restarts, seed=-1).labels,
+                              kmeans(rows, 5, restarts, seed=2**64 - 1).labels)
+
     @PROPERTY
     @given(kmeans_inputs(), st.integers(0, 2**32 - 1))
     def test_permutation_equivariant_with_duplicated_rows(self, case, perm_seed):
