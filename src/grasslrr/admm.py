@@ -7,6 +7,9 @@ Solves
 
 by alternating a per-slice shrinkage on E, a linearized proximal (singular
 value thresholding) step on Z, a multiplier update, and an adaptive penalty.
+The proximal step eta must exceed sigma_max, the largest eigenvalue of the
+Gram matrix; it is fixed at ETA_MARGIN sigma_max = 1.02 sigma_max and is not
+a setting.
 
 Everything runs in an N-dimensional coefficient space: starting from zero,
 every E(i) and multiplier slice stays inside span{B_j}, so a slice is an
@@ -86,16 +89,15 @@ SVT_EIGH_GUARD = 1e-4
 class AdmmConfig:
     """Penalty schedule and stopping tolerances.
 
-    ``eta`` must exceed the largest eigenvalue of the Gram matrix (the
-    squared spectral norm of the stacked slices); ``None`` selects
-    1.02 times that eigenvalue.
+    The proximal step eta is not a setting: every solve fixes it at
+    ETA_MARGIN = 1.02 times the largest eigenvalue of the Gram matrix (the
+    squared spectral norm of the stacked slices), which it must exceed.
     """
 
     lam: float
     mu0: float = 0.01
     rho0: float = 1.9
     mu_max: float = 1e10
-    eta: float | None = None
     eps1: float = 1e-4
     eps2: float = 1e-4
     max_iters: int = 500
@@ -104,8 +106,6 @@ class AdmmConfig:
         if not (0.0 < self.lam < np.inf):
             raise InvalidConfigError(f"lambda must be positive and finite, got {self.lam}")
         finite = {"mu0": self.mu0, "rho0": self.rho0, "eps1": self.eps1, "eps2": self.eps2}
-        if self.eta is not None:
-            finite["eta"] = self.eta
         for name, value in finite.items():
             if not math.isfinite(value):
                 raise InvalidConfigError(f"{name} must be finite, got {value}")
@@ -262,11 +262,7 @@ def admm_solve(
     sigma_max = float(np.max(lam_d, initial=0.0))
     if not (sigma_max > 0.0):
         raise InvalidInputError("delta must have a positive eigenvalue")
-    eta = ETA_MARGIN * sigma_max if config.eta is None else float(config.eta)
-    if not (eta > sigma_max):
-        raise InvalidConfigError(
-            f"eta={eta} must exceed the largest Gram eigenvalue {sigma_max}"
-        )
+    eta = ETA_MARGIN * sigma_max
     x_norm = math.sqrt(sigma_max)
     QT = np.ascontiguousarray(Q.T)  # coordinates of the identity
     grad_scale = lam_d[:, None] / eta
@@ -369,11 +365,7 @@ def dense_reference(
 
     sigma_max = float(np.linalg.eigvalsh((D + D.T) / 2.0)[-1])
     x_norm = float(np.sqrt(max(sigma_max, 0.0)))
-    eta = ETA_MARGIN * sigma_max if config.eta is None else float(config.eta)
-    if not (eta > sigma_max):
-        raise InvalidConfigError(
-            f"eta={eta} must exceed the largest Gram eigenvalue {sigma_max}"
-        )
+    eta = ETA_MARGIN * sigma_max
 
     Z = np.zeros((n, n))
     E = np.zeros((n, d, d))

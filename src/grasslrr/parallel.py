@@ -26,10 +26,9 @@ def blas_threads(environ, cpus: int) -> int:
     return max((t for t in threads if t > 0), default=cpus)
 
 
-def worker_count(cpus: int, environ, items: int, work: int | None = None, floor: int = 1) -> int:
+def worker_count(cpus: int, environ, items: int, work: int, floor: int) -> int:
     """``cpus // blas_threads``, at most ``items``, and each with ``floor`` of ``work``; >= 1."""
-    cap = items if work is None else min(items, work // floor)
-    return max(1, min(cpus // blas_threads(environ, cpus), cap))
+    return max(1, min(cpus // blas_threads(environ, cpus), items, work // floor))
 
 
 def system_cpus() -> int:

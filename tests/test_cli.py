@@ -817,23 +817,55 @@ def test_package_exports_exactly_the_public_names():
     assert exported == PUBLIC_NAMES
 
 
+def no_load(monkeypatch):
+    """Make any matrix file read fail the test: a setting must be refused before the load."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix file was read before the settings were checked")
+
+    monkeypatch.setattr("grasslrr.cli.load_points", refuse)
+
+
+EVERY_METHOD = (["glrr-f"], ["glrr-21"], ["kglrr", "--kernel", "cc-sum"])
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--eps1", "inf"), ("--eps2", "inf"), ("--eps1", "nan"), ("--rho0", "inf"),
-    ("--rho0", "nan"), ("--mu0", "inf"), ("--mu0", "nan"), ("--eta", "inf"),
-    ("--eta", "nan"), ("--mu-max", "nan"),
+    ("--rho0", "nan"), ("--mu0", "inf"), ("--mu0", "nan"), ("--mu-max", "nan"),
 ])
-def test_non_finite_admm_setting_is_exit_2(flag, value, small_dataset, tmp_path, capsys):
+def test_non_finite_admm_setting_is_exit_2(flag, value, small_dataset, tmp_path, monkeypatch,
+                                           capsys):
     # an infinite tolerance used to stop after one iteration and report
-    # converged=true with a meaningless Z
+    # converged=true with a meaningless Z; every method refuses it, unread or not
+    no_load(monkeypatch)
+    for method in EVERY_METHOD:
+        capsys.readouterr()
+        code = main(["cluster", "--data", str(small_dataset), "--method", *method,
+                     "--lambda", "1", "--clusters", "2", "--max-iters", "5",
+                     "--out", str(tmp_path / "o"), flag, value])
+        err = capsys.readouterr().err
+        assert code == 2, method
+        assert err.startswith("error:"), err
+        assert "Traceback" not in err
+        assert flag[2:].replace("-", "_") in err
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("method", EVERY_METHOD, ids=["glrr-f", "glrr-21", "kglrr-cc-sum"])
+def test_eta_is_not_a_setting(method, small_dataset, tmp_path, monkeypatch, capsys):
+    # the step size is fixed at ETA_MARGIN times the largest Gram eigenvalue,
+    # so neither the flag nor the config key exists
+    no_load(monkeypatch)
+    argv = ["cluster", "--data", str(small_dataset), "--method", *method, "--lambda", "1",
+            "--clusters", "2", "--out", str(tmp_path / "o")]
     capsys.readouterr()
-    code = main(["cluster", "--data", str(small_dataset), "--method", "glrr-21",
-                 "--lambda", "1", "--clusters", "2", "--max-iters", "5",
-                 "--out", str(tmp_path / "o"), flag, value])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error:"), err
-    assert "Traceback" not in err
-    assert flag[2:].replace("-", "_") in err
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--eta", "1"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --eta 1" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=3\neta=1\n")
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: line 2: unknown config entry 'eta=1'\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -898,10 +930,7 @@ def test_out_of_memory_is_exit_2(method, small_dataset, tmp_path, monkeypatch, c
 def test_cluster_setting_is_exit_2(argv, expected, before_load, small_dataset, tmp_path,
                                    monkeypatch, capsys):
     if before_load:
-        def no_load(*args, **kwargs):
-            raise AssertionError("a matrix file was read before the settings were checked")
-
-        monkeypatch.setattr("grasslrr.cli.load_points", no_load)
+        no_load(monkeypatch)
 
     def arg(text):
         if text.startswith("cfg:"):  # a --config file of this one entry

@@ -576,8 +576,9 @@ CLI_RUNS = (
 EXTREME_VALUES = (np.finfo(np.float64).max, -np.finfo(np.float64).max, np.finfo(np.float64).tiny,
                   np.finfo(np.float64).smallest_subnormal, 1e300, -1e-300)
 
-# --config keys, some unknown, and values: digits come only from the bounded
-# choices, so no entry asks for a k-means batch that fits in memory but is slow
+# --config keys, some unknown (eta, the fixed ADMM step size, is no setting), and
+# values: digits come only from the bounded choices, so no entry asks for a
+# k-means batch that fits in memory but is slow
 CONFIG_KEYS = ("seed", "p", "standardize", "kernel", "alpha", "mu0", "rho0", "mu-max", "eta",
                "eps1", "eps2", "max-iters", "restarts", "kmeans-max-iters", "clusters", "wibble")
 config_values = (st.sampled_from(("", "x", "true", "0.5", "1e-300", "1e308", "inf", "-inf", "nan"))
