@@ -104,12 +104,13 @@ def _config_defaults(path: str, cluster: argparse.ArgumentParser) -> dict:
     """Read --config's key=value lines into defaults keyed by dest.
 
     A key is a flag name without ``--``, and its value is converted the way
-    that flag converts it; a store_true flag takes ``_switch``'s words.
+    that flag converts it; a store_true flag takes ``_switch``'s words.  A
+    required flag, which a default cannot set, is no key.
     """
     flags = {
         action.option_strings[0][2:]: action
         for action in cluster._actions
-        if action.dest not in ("help", "config")
+        if action.dest not in ("help", "config") and not action.required
     }
     defaults = {}
     for line_no, stripped in read_lines(path, "config file"):

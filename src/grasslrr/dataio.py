@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GrassLrrError, InfeasibleSpecError, InvalidInputError
+from .errors import GrassLrrError, InfeasibleSpecError, InvalidInputError, RankDeficientError
 from .kernels import principal_angle_cosines
 from .manifold import GrassmannPoint, as_matrix, orthonormalize
 from .parallel import ordered_map, system_cpus, worker_count
@@ -261,17 +261,9 @@ def _read_set(base_dir: str, rel: str, d: int | None) -> ImageSet:
     return ImageSet(id=rel, samples=samples)
 
 
-def _embed_chunk(base_dir: str, entries, d: int, p: int, standardize: bool, head: list):
-    """``build_point`` of ``head``'s sets, then of ``entries``' sets.
-
-    Returns (points, None), or (None, the first build error), which waits
-    until every file of the chunk is read; a read error is raised.
-    """
-    sets = [*head, *(_read_set(base_dir, rel, d) for rel, _ in entries)]
-    try:
-        return [build_point(s, p, standardize) for s in sets], None
-    except (GrassLrrError, np.linalg.LinAlgError, MemoryError) as exc:
-        return None, exc
+def _embed_chunk(base_dir: str, entries, d: int, p: int, standardize: bool):
+    """``build_point`` of each entry's set, built as soon as it is read."""
+    return [build_point(_read_set(base_dir, rel, d), p, standardize) for rel, _ in entries]
 
 
 def load_points(manifest: Manifest, p: int | None = None,
@@ -279,32 +271,29 @@ def load_points(manifest: Manifest, p: int | None = None,
     """``build_point`` of every entry's sample matrix, in manifest order.
 
     ``p`` defaults to the smaller side of entry 0's matrix, and every entry
-    must have entry 0's sample dimension.  Entry 0 is read here first; then
-    the entries are split into ``load_workers`` contiguous chunks, which
-    ``parallel.ordered_map`` reads and embeds in that many forked processes
-    while this one waits, or here when there is one.  A worker sends back the
-    points it built, so each point is built once.  The result and every error
-    are the serial loader's: the first failing read in manifest order, and a
-    build error only once every file has been read.
+    must have entry 0's sample dimension.  Entry 0 is read and embedded here
+    first; then the other entries are split into ``load_workers`` contiguous
+    chunks, which ``parallel.ordered_map`` reads and embeds in that many
+    forked processes while this one waits, or here when there is one.  A
+    worker sends back the points it built, so each point is built once.  The
+    error is that of the first entry, in manifest order, whose file cannot be
+    read or whose basis cannot be built, whatever the worker count.
     """
     entries, base = manifest.entries, manifest.base_dir
     if not entries:
         return []
-    # at most one chunk per entry, so entry 0 heads exactly one
-    workers = min(load_workers(manifest), len(entries))
+    workers = max(1, min(load_workers(manifest), len(entries) - 1))  # no empty chunk
     first = _read_set(base, entries[0][0], None)
     d, p = first.samples.shape[0], min(first.samples.shape) if p is None else p
-    bounds = [len(entries) * c // workers for c in range(workers + 1)]
-    jobs = [(base, entries[max(a, 1) : b], d, p, standardize, [first] if a == 0 else [])
-            for a, b in zip(bounds, bounds[1:])]
+    points = [build_point(first, p, standardize)]
+    rest = entries[1:]
+    bounds = [len(rest) * c // workers for c in range(workers + 1)]
+    jobs = [(base, rest[a:b], d, p, standardize) for a, b in zip(bounds, bounds[1:])]
     try:
-        results = list(ordered_map(_embed_chunk, jobs, workers, fork=True))
+        for chunk in ordered_map(_embed_chunk, jobs, workers, fork=True):
+            points += chunk
     except ChildProcessError as exc:
         raise GrassLrrError(f"a worker process loading the dataset stopped: {exc}") from None
-    for _, error in results:
-        if error is not None:
-            raise error
-    points = [q for chunk, _ in results for q in chunk]
     for q in points:  # a forked worker's bases come back unpickled, and writeable
         q.basis.setflags(write=False)
     return points
@@ -346,7 +335,12 @@ def build_point(image_set: ImageSet, p: int, standardize: bool = False) -> Grass
                 f"sample column {bad} of {image_set.id!r} is constant; cannot standardize"
             )
         samples = (samples - mean) / std
-    return orthonormalize(samples, p)
+    try:
+        return orthonormalize(samples, p)
+    except RankDeficientError as exc:
+        raise RankDeficientError(f"{image_set.id!r}: {exc}", exc.achieved_rank) from None
+    except InvalidInputError as exc:  # p beyond the matrix's sides
+        raise InvalidInputError(f"{image_set.id!r}: {exc}") from None
 
 
 def _min_pairwise_angle_deg(centers: list[GrassmannPoint]) -> float:

@@ -358,19 +358,16 @@ class TestClusterCommand:
         data = run_synth(tmp_path, seed=29)
         out = tmp_path / "rcfg"
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "method=glrr-f\nlambda=0.1\nclusters=4\nseed=29\n"
-            f"data={data}\nout={out}\ntruth={data / 'truth.txt'}\n"
-        )
-        # --lambda on the command line must override the file entry
+        cfg.write_text(f"max-iters=7\nseed=29\ntruth={data / 'truth.txt'}\n")
+        # --max-iters on the command line must override the file entry
         code = main(["cluster", "--config", str(cfg), "--data", str(data),
-                     "--method", "glrr-f", "--lambda", "1.0",
+                     "--method", "glrr-21", "--lambda", "1", "--max-iters", "3",
                      "--clusters", "4", "--out", str(out)])
         assert code == 0
         row = capsys.readouterr().out.strip().splitlines()[-1].split()
-        assert row[1] == "1"
+        assert row[2] == "3"
         report = load_report(out / "report.txt")
-        assert report["lambda"] == repr(1.0)
+        assert report["iterations"] == "3"
         # seed/truth came from the file
         assert "accuracy" in report
 
@@ -394,10 +391,10 @@ class TestConfigPrecedence:
     def test_equals_form_flag_beats_file(self, tmp_path, capsys):
         data = run_synth(tmp_path, seed=43)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("lambda=0.1\n")
-        assert self.cluster(data, tmp_path / "o", "--config", str(cfg), "--method", "glrr-f",
-                            "--lambda=1.0") == 0
-        assert load_report(tmp_path / "o" / "report.txt")["lambda"] == repr(1.0)
+        cfg.write_text("max-iters=7\n")
+        assert self.cluster(data, tmp_path / "o", "--config", str(cfg), "--method", "glrr-21",
+                            "--lambda", "1", "--max-iters=2") == 0
+        assert load_report(tmp_path / "o" / "report.txt")["iterations"] == "2"
 
     def test_file_max_iters_applies_without_flag(self, tmp_path):
         data = run_synth(tmp_path, seed=43)
@@ -425,7 +422,9 @@ class TestConfigPrecedence:
         # an entry that sets a flag moves Z; one that gives the flag's default does not
         assert (z_file == (tmp_path / "plain" / "Z.mat").read_bytes()) == (not flags)
 
-    @pytest.mark.parametrize("entry", ["help=1", "config=x"])
+    # the five required flags must be on the command line, so no default sets them
+    @pytest.mark.parametrize("entry", ["help=1", "config=x", "data=x", "method=glrr-21",
+                                       "lambda=0.5", "clusters=9", "out=x"])
     def test_non_setting_keys_are_unknown(self, tmp_path, capsys, entry):
         data = run_synth(tmp_path, seed=43)
         cfg = tmp_path / "run.cfg"
@@ -1009,7 +1008,11 @@ def test_cluster_count_above_n_fails_before_any_solve(small_dataset, tmp_path, m
      "dataset file not found: {data}/points/point_001.mat"),
     (["eval", "--pred", "{tmp}/pred.txt", "--truth", "{data}/truth.txt"],
      "labels file not found: {tmp}/pred.txt"),
-], ids=["dataset-file", "eval-pred"])
+    # the 6 x 2 sets have no 3-dimensional basis: entry 0's fails before the missing file
+    (["cluster", "--data", "{data}", "--method", "glrr-f", "--p", "3", "--lambda", "1",
+      "--clusters", "2", "--out", "{tmp}/o"],
+     "'points/point_000.mat': p=3 must lie in [1, min(6, 2)]"),
+], ids=["dataset-file", "eval-pred", "p-above-entry-0"])
 def test_missing_input_file_is_exit_2(argv, expected, small_dataset, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(small_dataset, data)

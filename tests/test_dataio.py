@@ -242,12 +242,13 @@ def set_with_constant_column(d, q, seed):
 
 
 # (file index, replacement): None deletes the file, a string replaces its text,
-# an array rewrites it; the expected error names the first failure in manifest
-# order, with read errors ahead of every basis-build error.  Seven entries make
-# chunks [0, 3) [3, 7) for two workers and [0, 2) [2, 4) [4, 7) for three.
+# an array rewrites it; the expected error is that of the first entry in manifest
+# order whose file cannot be read or whose basis cannot be built.  The caller
+# builds entry 0, and entries 1-6 make chunks [1, 4) [4, 7) for two workers and
+# [1, 3) [3, 5) [5, 7) for three.
 LOADER_FAILURES = {
     "missing-in-two-worker-chunks": (
-        [(3, None), (6, None)], False, "dataset file not found: {dir}/s3.mat"),
+        [(4, None), (6, None)], False, "dataset file not found: {dir}/s4.mat"),
     "bad-token-before-missing": (
         [(5, "1 5\n1.0.0" + " 1" * 4 + "\n"), (6, None)], False,
         "{dir}/s5.mat: cannot parse value at line 2, column 1: '1.0.0'"),
@@ -255,15 +256,20 @@ LOADER_FAILURES = {
         [(1, "1 5\nx" + " 1" * 4 + "\n"), (4, None), (6, None)], False,
         "{dir}/s1.mat: cannot parse value at line 2, column 1: 'x'"),
     "dimension-at-chunk-starts": (
-        [(2, np.ones((13, 5))), (4, np.ones((11, 5)))], False,
-        "{dir}/s2.mat: sample dimension 13 differs from 12"),
-    "read-error-before-earlier-build-error": (
-        [(1, rank_one(12, 5)), (6, None)], False, "dataset file not found: {dir}/s6.mat"),
+        [(3, np.ones((13, 5))), (5, np.ones((11, 5)))], False,
+        "{dir}/s3.mat: sample dimension 13 differs from 12"),
+    "build-error-before-later-read-error": (
+        [(1, rank_one(12, 5)), (6, None)], False,
+        "'s1.mat': numerical rank 1 is below requested dimension 2"),
+    "entry-0-build-error-before-missing": (
+        [(0, rank_one(12, 5)), (4, None)], False,
+        "'s0.mat': numerical rank 1 is below requested dimension 2"),
     "constant-column-before-rank-deficiency": (
         [(2, set_with_constant_column(12, 5, 1)), (5, rank_one(12, 5))], True,
         "sample column 0 of 's2.mat' is constant; cannot standardize"),
     "rank-deficiency-in-a-worker": (
-        [(5, rank_one(12, 5))], False, "numerical rank 1 is below requested dimension 2"),
+        [(5, rank_one(12, 5))], False,
+        "'s5.mat': numerical rank 1 is below requested dimension 2"),
 }
 
 
@@ -290,8 +296,8 @@ class TestParallelLoader:
             post_init(point)
 
         monkeypatch.setattr(GrassmannPoint, "__post_init__", counted)
-        # 9 workers for 7 entries run as 7 chunks; 9 would start two chunks at entry 0
-        for workers, built_here in ((1, 7), (2, 0), (3, 0), (9, 0)):
+        # entry 0 is built here; 9 workers for the other 6 entries run as 6 chunks
+        for workers, built_here in ((1, 7), (2, 1), (3, 1), (9, 1)):
             patch_workers(monkeypatch, workers)
             calls.clear()
             points = load_points(manifest)
@@ -324,6 +330,24 @@ class TestParallelLoader:
             raised.append(err.value)
         assert len({type(exc) for exc in raised}) == 1
         assert {vars(exc).get("achieved_rank") for exc in raised} in ({None}, {1})
+
+    def test_serial_load_reads_then_embeds_each_entry(self, tmp_path, monkeypatch):
+        manifest = write_sets(tmp_path, self.mats())
+        calls, read_set, embed = [], dataio._read_set, dataio.build_point
+
+        def counted_read(base_dir, rel, d):
+            calls.append(("read", rel))
+            return read_set(base_dir, rel, d)
+
+        def counted_build(image_set, p, standardize=False):
+            calls.append(("build", image_set.id))
+            return embed(image_set, p, standardize)
+
+        monkeypatch.setattr(dataio, "_read_set", counted_read)
+        monkeypatch.setattr(dataio, "build_point", counted_build)
+        patch_workers(monkeypatch, 1)
+        load_points(manifest)
+        assert calls == [(step, rel) for rel, _ in manifest.entries for step in ("read", "build")]
 
     def test_empty_manifest(self, tmp_path, monkeypatch):
         (tmp_path / "manifest.txt").write_text("# nothing\n")
