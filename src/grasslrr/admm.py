@@ -30,10 +30,10 @@ product by delta is a row scaling by Lambda, and the slice norm of a
 coefficient column w is ||Lambda^{1/2} Q^T w||.  Z starts at zero and every
 SVT argument is Z plus delta times a matrix, so Z's columns stay in
 range(Q), and since SVT(Q A) = Q SVT(A) the SVT runs on the m x N
-coordinates A.  E and Xi are returned as the representatives with no
-component in delta's null space, which carries no slice.  Z = Q (Q^T Z), E
-and the final state are formed once, at return (every iteration under
-``track_iterates``).
+coordinates A.  E and Xi are the representatives with no component in
+delta's null space, which carries no slice.  Only the returned Z = Q (Q^T Z)
+and E are formed as N x N arrays, once, at return (every iteration's under
+``track_iterates``); ``AdmmState`` keeps the last iterate in coordinates.
 
 An iteration costs one symmetric eigendecomposition of the min(m, N)-side
 Gram matrix of the SVT argument, two rank-r products that rebuild the
@@ -126,13 +126,26 @@ class AdmmConfig:
 
 @dataclass
 class AdmmState:
-    """Coefficient-space iterates after the last iteration; all-zero at iteration 0."""
+    """The last iterate's m x N coordinates over the shared eigenbasis Q; zero at iteration 0."""
 
-    Z: np.ndarray
-    Ecoef: np.ndarray
-    Xicoef: np.ndarray
+    Q: np.ndarray
+    Zh: np.ndarray
+    Eh: np.ndarray
+    Xh: np.ndarray
     mu: float
     iter: int = 0
+
+    @property
+    def Z(self) -> np.ndarray:
+        return self.Q @ self.Zh
+
+    @property
+    def Ecoef(self) -> np.ndarray:
+        return self.Q @ self.Eh
+
+    @property
+    def Xicoef(self) -> np.ndarray:
+        return self.Q @ self.Xh
 
 
 @dataclass
@@ -333,16 +346,13 @@ def admm_solve(
             report.stop_reason = "converged"
             break
 
-    Z_last, E_last = Q @ Zh, Q @ Eh
-    report.final_state = AdmmState(Z=Z_last, Ecoef=E_last, Xicoef=Q @ Xh, mu=mu,
-                                   iter=report.iterations)
+    report.final_state = AdmmState(Q=Q, Zh=Zh, Eh=Eh, Xh=Xh, mu=mu, iter=report.iterations)
     _, Zh_out, Eh_out, s_out, report.returned_iteration = best
-    Z_out, E_out = (Z_last, E_last) if Zh_out is Zh else (Q @ Zh_out, Q @ Eh_out)
     report.z_singular_values = np.concatenate((s_out, np.zeros(n - s_out.size)))
     report.primal_bound, report.dual_bound, report.relative_gap = _gap(
         lam_d, QT, Zh_out, Xh, s_out, config.lam
     )
-    return LowRankCoefficients(Z=Z_out), E_out, report
+    return LowRankCoefficients(Z=Q @ Zh_out), Q @ Eh_out, report
 
 
 def dense_reference(

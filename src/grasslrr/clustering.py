@@ -45,9 +45,9 @@ from .rng import SplitMix64
 METHODS = ("glrr-f", "glrr-21", "kglrr")
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
-# the N x N float64 temporaries one lambda in flight may hold: tracemalloc peaks
-# of one _solve_lambda were 5.0 N^2 doubles (glrr-f, N=500) and 14.0 N^2 (glrr-21,
-# N=200) on seed-1 benchmark inputs with one BLAS thread, plus margin
+# the N x N float64 temporaries one lambda in flight may hold: tracemalloc peaks of one
+# _solve_lambda were 5.04 N^2 doubles (glrr-f, N=500) and 13.96 N^2 (glrr-21, N=200 = m,
+# inside the ADMM loop) on seed-1 benchmark inputs with one BLAS thread, plus margin
 SWEEP_BYTES_PER_N2 = 16 * 8
 # the N x N Gram matrix, its symmetrized copy and its eigenvectors while it is decomposed
 # (tracemalloc peak 3.0 N^2 doubles at N=1000 and 2000; LAPACK's workspace is not

@@ -410,6 +410,32 @@ class TestAdmmSolve:
         tracemalloc.stop()
         assert peak < 20_000_000
 
+    def test_final_state_kept_in_coordinates(self):
+        # N = 30 points exceed d(d+1)/2 = 15, so the eigenbasis Q is 30 x m with
+        # m < 30: the state holds only m x N coordinates and the shared Q, and
+        # forms Z, E and Xi from them on each read
+        delta = build_delta(random_points(28, 30, 5, 2))
+        _, _, report = admm_solve(delta, AdmmConfig(lam=0.5, max_iters=5))
+        state = report.final_state
+        assert state.Q is delta.eig.eigenvectors
+        m = state.Q.shape[1]
+        assert m < 30
+        assert not any(isinstance(v, np.ndarray) and v.shape == (30, 30)
+                       for v in vars(state).values())
+        for coords, formed in ((state.Zh, state.Z), (state.Eh, state.Ecoef),
+                               (state.Xh, state.Xicoef)):
+            assert coords.shape == (m, 30)
+            assert formed.tobytes() == (state.Q @ coords).tobytes()
+        # the return step forms only the returned Z and E as N x N arrays: a
+        # zero-iteration solve at N = 600 (m = 465) stays under 6 N^2 doubles
+        n = 600
+        delta = build_delta(random_points(29, n, 30, 3))
+        tracemalloc.start()
+        admm_solve(delta, AdmmConfig(lam=1.0, max_iters=0))
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 6 * n * n * 8
+
     def test_initial_state_zero(self):
         points = random_points(14, 5, 8, 2)
         _, _, report = admm_solve(build_delta(points), AdmmConfig(lam=1.0, max_iters=0))
@@ -527,13 +553,14 @@ class TestStopReason:
         points = random_points(15, 6, 9, 2)
         delta = build_delta(points)
         cfg = AdmmConfig(lam=0.5, max_iters=3)
-        Z, _, report = admm_solve(delta, cfg)
+        Z, E, report = admm_solve(delta, cfg)
         _, _, tracked = admm_solve(delta, cfg, track_iterates=True)
         assert not report.converged
         assert report.stop_reason == "max_iters"
         best = int(np.argmin(report.primal_residual_history)) + 1
         assert report.returned_iteration == best
         assert np.array_equal(Z.Z, tracked.z_history[best - 1])
+        assert np.array_equal(E, tracked.e_history[best - 1])
 
     def test_zero_iterations_returns_start(self):
         points = random_points(14, 5, 8, 2)
