@@ -56,7 +56,6 @@ from .kernels import (
 )
 from .manifold import (
     GrassmannPoint,
-    SymEig,
     orthonormalize,
     project_embed,
     sym_eig,

@@ -105,14 +105,15 @@ def _config_defaults(path: str, cluster: argparse.ArgumentParser) -> dict:
 
     A key is a flag name without ``--``, and its value is converted the way
     that flag converts it; a store_true flag takes ``_switch``'s words.  A
-    required flag, which a default cannot set, is no key.
+    required flag, which a default cannot set, is no key, and a key may be
+    set on one line only.
     """
     flags = {
         action.option_strings[0][2:]: action
         for action in cluster._actions
         if action.dest not in ("help", "config") and not action.required
     }
-    defaults = {}
+    defaults, set_on = {}, {}
     for line_no, stripped in read_lines(path, "config file"):
         if stripped.startswith("#"):
             continue
@@ -121,6 +122,11 @@ def _config_defaults(path: str, cluster: argparse.ArgumentParser) -> dict:
         action = flags.get(key)
         if not sep or action is None:
             raise InvalidInputError(f"{path}: line {line_no}: unknown config entry {stripped!r}")
+        if key in set_on:
+            raise InvalidInputError(
+                f"{path}: line {line_no}: {key} is already set on line {set_on[key]}"
+            )
+        set_on[key] = line_no
         convert = _switch if action.nargs == 0 else action.type or str
         try:
             defaults[action.dest] = convert(value)

@@ -267,7 +267,8 @@ def ncut(W, cfg: NcutConfig) -> ClusterLabels:
     degree = W.sum(axis=1)
     inv_sqrt = np.where(degree > 0.0, 1.0 / np.sqrt(np.where(degree > 0.0, degree, 1.0)), 0.0)
     L = np.eye(n) - (inv_sqrt[:, None] * W) * inv_sqrt[None, :]
-    emb = sym_eig(L).eigenvectors[:, : cfg.n_clusters]
+    _, V = sym_eig(L)
+    emb = V[:, : cfg.n_clusters]
     emb = emb * canonical_signs(emb)
 
     norms = np.linalg.norm(emb, axis=1)

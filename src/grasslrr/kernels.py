@@ -5,8 +5,8 @@ canonical-correlation kernels (largest or summed principal-angle cosine),
 and an affine blend of the summed-cosine and projection kernels.  Gram
 matrices are assembled row by row from one GEMM per row, symmetric by
 construction, and repaired to PSD by keeping only the eigenpairs of their
-numerical range, with the repair magnitude recorded.  Those r <= N eigenpairs
-are all a ``KernelMatrix`` keeps, and all either solver reads: ``_spectrum``
+numerical range, with the repair magnitude recorded.  Those r <= N eigenpairs,
+``psd_clamp``'s ``KernelMatrix``, are all either solver reads: ``_spectrum``
 is where they, and ``kernel_sqrt``, get them, for a plain array too.
 """
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
-from .manifold import GrassmannPoint, SymEig, _frozen, check_same_shape, sym_eig
+from .manifold import GrassmannPoint, _frozen, _symmetrize, check_same_shape, sym_eig
 from .parallel import ordered_map, system_cpus, worker_count
 
 KERNEL_KINDS = ("projection", "cc-max", "cc-sum", "ccp")
@@ -51,13 +51,18 @@ class KernelSpec:
 class KernelMatrix:
     """N x N Gram matrix held as ``psd_clamp``'s N x r eigenpairs, and the repair magnitude."""
 
-    eig: SymEig
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     clamp_magnitude: float = 0.0
+
+    def rebuild(self, values: np.ndarray) -> np.ndarray:
+        """V diag(values) V^T for these eigenvectors V, made exactly symmetric as (M + M^T)/2."""
+        return _symmetrize((self.eigenvectors * values) @ self.eigenvectors.T)
 
     @property
     def values(self) -> np.ndarray:
-        """The matrix itself, rebuilt from ``eig`` on each read; no solver reads it."""
-        return self.eig.rebuild(self.eig.eigenvalues)
+        """The matrix itself, rebuilt from the eigenpairs on each read; no solver reads it."""
+        return self.rebuild(self.eigenvalues)
 
 
 def principal_angle_cosines(X1: GrassmannPoint, X2: GrassmannPoint) -> np.ndarray:
@@ -69,8 +74,8 @@ def principal_angle_cosines(X1: GrassmannPoint, X2: GrassmannPoint) -> np.ndarra
     return out
 
 
-def psd_clamp(K) -> tuple[SymEig, float]:
-    """K's eigenpairs above N eps max(lambda_max, 0), and the repair magnitude.
+def psd_clamp(K) -> KernelMatrix:
+    """K's eigenpairs above N eps max(lambda_max, 0) and the repair magnitude, as a KernelMatrix.
 
     The threshold is numpy ``matrix_rank``'s.  ``sym_eig``'s order is
     ascending, so the r pairs kept are its last r, still ascending; their
@@ -78,13 +83,11 @@ def psd_clamp(K) -> tuple[SymEig, float]:
     The magnitude is the most negative eigenvalue's when it is below
     -1e-8 lambda_max, else 0.0.
     """
-    eig = sym_eig(K)
-    w = eig.eigenvalues
+    w, V = sym_eig(K)
     top = max(w[-1], 0.0)
     drop = w.size - int(np.count_nonzero(w > w.size * np.finfo(np.float64).eps * top))
     magnitude = float(-w[0]) if w[0] < -PSD_RTOL * top else 0.0
-    kept = SymEig(eigenvalues=w[drop:], eigenvectors=_frozen(eig.eigenvectors[:, drop:]))
-    return kept, magnitude
+    return KernelMatrix(w[drop:], _frozen(V[:, drop:]), magnitude)
 
 
 def _kernel_row(cross: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -138,15 +141,15 @@ def gram_workers(n: int) -> int:
 
 def gram(points: list[GrassmannPoint], spec: KernelSpec) -> KernelMatrix:
     """Kernel Gram matrix over a point set: ``psd_clamp`` of ``assemble_gram``, no N x N copy."""
-    return KernelMatrix(*psd_clamp(assemble_gram(points, spec)))
+    return psd_clamp(assemble_gram(points, spec))
 
 
-def _spectrum(G) -> SymEig:
-    """The eigenpairs a KernelMatrix carries, or ``psd_clamp``'s of a symmetric array."""
-    return G.eig if isinstance(G, KernelMatrix) else psd_clamp(G)[0]
+def _spectrum(G) -> KernelMatrix:
+    """G itself when it is a KernelMatrix, else ``psd_clamp`` of the symmetric array G."""
+    return G if isinstance(G, KernelMatrix) else psd_clamp(G)
 
 
 def kernel_sqrt(K) -> np.ndarray:
     """Symmetric PSD square root U D^{1/2} U^T over the kept eigenpairs, by ``rebuild``."""
-    eig = _spectrum(K)
-    return eig.rebuild(np.sqrt(eig.eigenvalues))
+    G = _spectrum(K)
+    return G.rebuild(np.sqrt(G.eigenvalues))

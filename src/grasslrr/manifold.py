@@ -3,8 +3,8 @@
 A data object is a p-dimensional subspace of R^d held as a d x p orthonormal
 basis, compared through the projection embedding X -> X X^T, so everything
 downstream depends only on the span.  Every N x N eigendecomposition, of a
-Gram matrix or of the ncut Laplacian, is ``sym_eig``; ``SymEig.rebuild``
-forms V f(w) V^T from one.
+Gram matrix or of the ncut Laplacian, is ``sym_eig``, which hands on
+``np.linalg.eigh``'s own (w, V) pair.
 """
 from __future__ import annotations
 
@@ -45,18 +45,6 @@ def _symmetrize(M: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SymEig:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending as LAPACK returns them."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def rebuild(self, values: np.ndarray) -> np.ndarray:
-        """V diag(values) V^T for these eigenvectors V, made exactly symmetric as (M + M^T)/2."""
-        return _symmetrize((self.eigenvectors * values) @ self.eigenvectors.T)
-
-
-@dataclass(frozen=True)
 class GrassmannPoint:
     """A p-dimensional subspace of R^d as an immutable d x p orthonormal basis."""
 
@@ -91,10 +79,10 @@ def canonical_signs(U: np.ndarray) -> np.ndarray:
     return np.where(top < 0.0, -1.0, 1.0)
 
 
-def sym_eig(A) -> SymEig:
-    """Eigendecomposition of a (nearly) symmetric matrix, ascending order.
+def sym_eig(A) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a (nearly) symmetric matrix, ascending order.
 
-    The arrays are ``np.linalg.eigh``'s own, of (A + A^T)/2, made read-only
+    The pair is ``np.linalg.eigh``'s own, of (A + A^T)/2, made read-only
     in place.  Asymmetry up to 1e-8 of the largest entry, both in max norm,
     is tolerated and symmetrized away, so the outcome does not depend on A's
     scale; anything larger is rejected, and so is an eigenvalue past
@@ -114,7 +102,7 @@ def sym_eig(A) -> SymEig:
         raise InvalidInputError("matrix has an eigenvalue beyond float64 range")
     w.setflags(write=False)
     V.setflags(write=False)
-    return SymEig(eigenvalues=w, eigenvectors=V)
+    return w, V
 
 
 def orthonormalize(M, p: int) -> GrassmannPoint:

@@ -417,7 +417,7 @@ class TestAdmmSolve:
         delta = build_delta(random_points(28, 30, 5, 2))
         _, _, report = admm_solve(delta, AdmmConfig(lam=0.5, max_iters=5))
         state = report.final_state
-        assert state.Q is delta.eig.eigenvectors
+        assert state.Q is delta.eigenvectors
         m = state.Q.shape[1]
         assert m < 30
         assert not any(isinstance(v, np.ndarray) and v.shape == (30, 30)

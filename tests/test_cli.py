@@ -802,7 +802,7 @@ PUBLIC_NAMES = {
     "accuracy", "hungarian",
     "KernelMatrix", "KernelSpec", "gram", "kernel_sqrt",
     "principal_angle_cosines",
-    "GrassmannPoint", "SymEig", "orthonormalize", "project_embed", "sym_eig",
+    "GrassmannPoint", "orthonormalize", "project_embed", "sym_eig",
     "SplitMix64",
 }
 
@@ -812,7 +812,7 @@ def test_package_exports_exactly_the_public_names():
     # (grasslrr.admm.AdmmState, grasslrr.kernels.psd_clamp, ...)
     exported = {name for name, value in vars(grasslrr).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
-    assert len(PUBLIC_NAMES) == 49
+    assert len(PUBLIC_NAMES) == 48
     assert exported == PUBLIC_NAMES
 
 
@@ -920,19 +920,24 @@ def test_out_of_memory_is_exit_2(method, small_dataset, tmp_path, monkeypatch, c
      "blend weight must be in (0,1), got -1.0", True),
     # argparse checks a flag against its choices, but not a default --config sets
     (["--lambda", "1", "--config", "cfg:kernel=foo"], "unknown kernel kind 'foo'", True),
+    # a key set twice is refused, not won by its last line, whether or not the values agree
+    (["--lambda", "1", "--config", "cfg:seed=1\nseed=2"],
+     "run.cfg: line 2: seed is already set on line 1", True),
+    (["--lambda", "1", "--config", "cfg:standardize=yes\n# off\nstandardize=no"],
+     "run.cfg: line 3: standardize is already set on line 1", True),
 ], ids=["lambda-empty-list", "lambda-non-numeric", "kmeans-max-iters-0",
         "kmeans-max-iters-negative", "config-missing", "clusters-above-n",
         "glrr-21-max-iters-0", "data-dir-without-manifest", "truth-missing",
         "glrr-f-ccp-alpha-2", "kglrr-mu0-nan", "glrr-f-max-iters-0", "clusters-1",
         "restarts-0", "p-0", "glrr-f-alpha-nan", "glrr-21-alpha-2", "kglrr-cc-sum-config-alpha",
-        "config-kernel-foo"])
+        "config-kernel-foo", "config-seed-twice", "config-standardize-twice"])
 def test_cluster_setting_is_exit_2(argv, expected, before_load, small_dataset, tmp_path,
                                    monkeypatch, capsys):
     if before_load:
         no_load(monkeypatch)
 
     def arg(text):
-        if text.startswith("cfg:"):  # a --config file of this one entry
+        if text.startswith("cfg:"):  # a --config file of these lines
             (tmp_path / "run.cfg").write_text(text[4:] + "\n")
             return str(tmp_path / "run.cfg")
         return text.format(tmp=tmp_path)

@@ -137,12 +137,12 @@ class TestGlrrFSolve:
     def test_z_is_rebuild_of_the_shrunk_spectrum(self):
         rng = np.random.default_rng(8)
         G = gram([random_point(rng, 6, 2) for _ in range(9)], KernelSpec(kind="projection"))
-        sigma = G.eig.eigenvalues
+        sigma = G.eigenvalues
         lam = 0.4 * float(sigma[-1])
         Z, _ = glrr_f_solve(G, lam)
         eff = np.where(sigma > 1e-12 * sigma[-1], sigma, 0.0)
         shrunk = np.where(eff > lam, 1.0 - lam / np.where(eff > lam, eff, 1.0), 0.0)
-        assert Z.Z.tobytes() == G.eig.rebuild(shrunk).tobytes()
+        assert Z.Z.tobytes() == G.rebuild(shrunk).tobytes()
 
     def test_lambda_monotonicity(self):
         rng = np.random.default_rng(8)

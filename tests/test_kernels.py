@@ -16,10 +16,10 @@ from grasslrr import (
     principal_angle_cosines,
     sym_eig,
 )
+import grasslrr
 from grasslrr import kernels
 from grasslrr.closed_form import build_delta
 from grasslrr.kernels import KERNEL_KINDS, KernelMatrix, assemble_gram, gram_workers, psd_clamp
-from grasslrr.manifold import SymEig
 from oracles import k_cc, k_ccp, k_projection
 
 
@@ -202,8 +202,8 @@ class TestGram:
             for kind, k in pairwise.items():
                 spec = KernelSpec(kind=kind, alpha=0.3 if kind == "ccp" else None)
                 raw = np.array([[k(a, b) for b in points] for a in points])
-                eig, magnitude = psd_clamp(raw)
-                oracle = eig.rebuild(eig.eigenvalues)
+                clamped = psd_clamp(raw)
+                oracle, magnitude = clamped.values, clamped.clamp_magnitude
                 K = gram(points, spec)
                 assert np.max(np.abs(K.values - oracle)) <= 1e-12, (kind, n, d, p)
                 assert abs(K.clamp_magnitude - magnitude) <= 1e-12, (kind, n, d, p)
@@ -214,7 +214,7 @@ class TestGram:
         points = [random_point(rng, 5, 2) for _ in range(9)]
         for kind in ("projection", "cc-max", "cc-sum", "ccp"):
             K = gram(points, KernelSpec(kind=kind, alpha=0.5 if kind == "ccp" else None))
-            V, w = K.eig.eigenvectors, K.eig.eigenvalues
+            V, w = K.eigenvectors, K.eigenvalues
             assert (K.clamp_magnitude > 0.0) == (kind != "projection")
             if K.clamp_magnitude > 0.0:
                 assert np.all(w >= 0.0)
@@ -327,7 +327,8 @@ class TestGramRowThreads:
 
 class TestKernelMatrix:
     def test_holds_only_the_eigendecomposition(self):
-        assert [f.name for f in dataclasses.fields(KernelMatrix)] == ["eig", "clamp_magnitude"]
+        assert [f.name for f in dataclasses.fields(KernelMatrix)] == [
+            "eigenvalues", "eigenvectors", "clamp_magnitude"]
 
     def test_repaired_gram_forms_no_matrix(self, monkeypatch):
         # the cc-sum Gram matrix of this fixture needs repair (see
@@ -335,8 +336,8 @@ class TestKernelMatrix:
         rng = np.random.default_rng(23)
         points = [random_point(rng, 5, 2) for _ in range(9)]
         calls = []
-        real_rebuild = SymEig.rebuild
-        monkeypatch.setattr(SymEig, "rebuild",
+        real_rebuild = KernelMatrix.rebuild
+        monkeypatch.setattr(KernelMatrix, "rebuild",
                             lambda self, values: (calls.append(1), real_rebuild(self, values))[1])
         K = gram(points, KernelSpec(kind="cc-sum"))
         assert K.clamp_magnitude > 0.0
@@ -351,10 +352,52 @@ class TestKernelMatrix:
         for K in (repaired, plain):
             with pytest.raises(AttributeError):
                 K.values = np.zeros((9, 9))
-            assert K.values.tobytes() == K.eig.rebuild(K.eig.eigenvalues).tobytes()
+            assert K.values.tobytes() == K.rebuild(K.eigenvalues).tobytes()
         # unrepaired, values is the assembled matrix up to rounding
         raw = assemble_gram(points, KernelSpec(kind="projection"))
         assert np.max(np.abs(plain.values - raw)) <= 1e-12 * np.max(np.abs(raw))
+
+    def test_rebuild_near_the_float64_limit(self):
+        K = KernelMatrix(eigenvalues=np.array([1.5e308, 1.0]), eigenvectors=np.eye(2))
+        assert K.rebuild(K.eigenvalues).tolist() == [[1.5e308, 0.0], [0.0, 1.0]]
+
+    def test_rebuild_is_the_reconstruction_it_replaced(self):
+        # the PSD repair, the kernel square root and the closed-form Z are rebuilds, so
+        # rebuild must give the bytes of (V * f) @ V.T symmetrized as (M + M.T) / 2
+        rng = np.random.default_rng(11)
+        A = rng.standard_normal((9, 9))
+        w, V = sym_eig(A + A.T)
+        K = KernelMatrix(eigenvalues=w, eigenvectors=V)
+        assert w[0] < 0.0  # indefinite, so the clamp repairs
+        clamped = np.maximum(w, 0.0)
+        shrunk = np.where(w > 0.5, 1.0 - 0.5 / np.where(w > 0.5, w, 1.0), 0.0)
+        for values in (clamped, np.sqrt(clamped), shrunk, w):
+            M = (V * values) @ V.T
+            rebuilt = K.rebuild(values)
+            assert rebuilt.tobytes() == ((M + M.T) / 2.0).tobytes()
+            assert np.array_equal(rebuilt, rebuilt.T)
+        np.testing.assert_allclose(K.rebuild(w), A + A.T, atol=1e-12)
+
+    def test_one_record_for_a_repaired_spectrum(self, monkeypatch):
+        # psd_clamp's KernelMatrix is gram's, field for field, on the same raw matrix
+        rng = np.random.default_rng(23)
+        points = [random_point(rng, 5, 2) for _ in range(9)]
+        spec = KernelSpec(kind="cc-sum")
+        raw = assemble_gram(points, spec)
+        clamped, G = psd_clamp(raw), gram(points, spec)
+        assert isinstance(clamped, KernelMatrix) and G.clamp_magnitude > 0.0
+        for f in dataclasses.fields(KernelMatrix):
+            a, b = getattr(clamped, f.name), getattr(G, f.name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+        # a raw decomposition is eigh's own read-only pair, not a record
+        seen = []
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: seen.append(real_eigh(A)) or seen[-1])
+        pair = sym_eig(raw)
+        assert type(pair) is tuple and len(pair) == 2
+        assert pair[0] is seen[0][0] and pair[1] is seen[0][1]
+        assert not (pair[0].flags.writeable or pair[1].flags.writeable)
+        assert not hasattr(grasslrr, "SymEig")
 
 
 class TestPsdClamp:
@@ -362,59 +405,59 @@ class TestPsdClamp:
         rng = np.random.default_rng(18)
         A = rng.standard_normal((5, 5))
         K = A @ A.T
-        eig, magnitude = psd_clamp(K)
-        assert magnitude == 0.0
-        assert eig.eigenvalues.tobytes() == sym_eig(K).eigenvalues.tobytes()
-        assert np.max(np.abs(eig.rebuild(eig.eigenvalues) - K)) <= 1e-12 * np.max(np.abs(K))
+        clamped = psd_clamp(K)
+        assert clamped.clamp_magnitude == 0.0
+        assert clamped.eigenvalues.tobytes() == sym_eig(K)[0].tobytes()
+        assert np.max(np.abs(clamped.rebuild(clamped.eigenvalues) - K)) <= 1e-12 * np.max(np.abs(K))
 
     def test_diagonal_truncation(self):
-        eig, magnitude = psd_clamp(np.diag([1.0, -0.5]))
-        out = eig.rebuild(eig.eigenvalues)
+        clamped = psd_clamp(np.diag([1.0, -0.5]))
+        out = clamped.rebuild(clamped.eigenvalues)
         np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
-        assert abs(magnitude - 0.5) <= 1e-12
+        assert abs(clamped.clamp_magnitude - 0.5) <= 1e-12
 
     def test_matches_truncation_oracle(self):
         rng = np.random.default_rng(19)
         A = rng.standard_normal((5, 5))
         K = (A + A.T) / 2.0
-        eig, magnitude = psd_clamp(K)
-        out = eig.rebuild(eig.eigenvalues)
+        clamped = psd_clamp(K)
+        out = clamped.rebuild(clamped.eigenvalues)
         w, V = np.linalg.eigh(K)
         oracle = (V * np.maximum(w, 0.0)) @ V.T
         np.testing.assert_allclose(out, oracle, atol=1e-10)
         assert np.linalg.eigvalsh(out)[0] >= -1e-10
-        assert abs(magnitude - max(0.0, -w[0])) <= 1e-12
+        assert abs(clamped.clamp_magnitude - max(0.0, -w[0])) <= 1e-12
 
     def test_repair_is_rebuild_of_the_clamped_spectrum(self):
         rng = np.random.default_rng(21)
         A = rng.standard_normal((7, 7))
-        eig, magnitude = psd_clamp(A + A.T)
-        out = eig.rebuild(eig.eigenvalues)
-        assert magnitude > 0.0
-        full = sym_eig(A + A.T)
-        r = int(np.sum(full.eigenvalues > 7 * EPS * full.eigenvalues[-1]))
+        kept = psd_clamp(A + A.T)
+        out = kept.rebuild(kept.eigenvalues)
+        assert kept.clamp_magnitude > 0.0
+        w, V = sym_eig(A + A.T)
+        r = int(np.sum(w > 7 * EPS * w[-1]))
         assert 0 < r < 7
-        assert eig.eigenvalues.tobytes() == full.eigenvalues[7 - r:].tobytes()
-        assert eig.eigenvectors.tobytes() == np.ascontiguousarray(full.eigenvectors[:, 7 - r:]).tobytes()
-        clamped = full.rebuild(np.maximum(full.eigenvalues, 0.0))
+        assert kept.eigenvalues.tobytes() == w[7 - r:].tobytes()
+        assert kept.eigenvectors.tobytes() == np.ascontiguousarray(V[:, 7 - r:]).tobytes()
+        clamped = KernelMatrix(eigenvalues=w, eigenvectors=V).rebuild(np.maximum(w, 0.0))
         assert np.max(np.abs(out - clamped)) <= 1e-12 * np.max(np.abs(clamped))
         assert np.array_equal(out, out.T)
 
     def test_keeps_only_the_numerical_range(self):
         # 30 points of G(2, 5): the projection Gram matrix has rank m = 15 < N
         G = gram(grassmann_fixture(), KernelSpec(kind="projection"))
-        assert G.eig.eigenvectors.shape == (30, 15)
-        assert G.eig.eigenvectors.flags.c_contiguous and not G.eig.eigenvectors.flags.writeable
+        assert G.eigenvectors.shape == (30, 15)
+        assert G.eigenvectors.flags.c_contiguous and not G.eigenvectors.flags.writeable
 
     def test_no_kept_eigenvalue_at_rounding_level(self):
         rng = np.random.default_rng(24)
         A = rng.standard_normal((12, 12))
         G = gram(grassmann_fixture(), KernelSpec(kind="projection"))
         for K in (G.values, A + A.T):
-            eig, _ = psd_clamp(K)
-            w = sym_eig(K).eigenvalues
-            assert np.all(eig.eigenvalues > K.shape[0] * EPS * w[-1])
-            assert eig.eigenvalues.size == np.sum(w > K.shape[0] * EPS * w[-1])
+            kept = psd_clamp(K).eigenvalues
+            w, _ = sym_eig(K)
+            assert np.all(kept > K.shape[0] * EPS * w[-1])
+            assert kept.size == np.sum(w > K.shape[0] * EPS * w[-1])
 
 
 class TestKernelSqrt:
@@ -435,9 +478,9 @@ class TestKernelSqrt:
     def test_is_rebuild_of_the_roots(self):
         rng = np.random.default_rng(22)
         A = rng.standard_normal((6, 6))
-        eig = sym_eig(A @ A.T)
-        roots = np.sqrt(np.maximum(eig.eigenvalues, 0.0))
-        assert kernel_sqrt(A @ A.T).tobytes() == eig.rebuild(roots).tobytes()
+        w, V = sym_eig(A @ A.T)
+        roots = np.sqrt(np.maximum(w, 0.0))
+        assert kernel_sqrt(A @ A.T).tobytes() == KernelMatrix(w, V).rebuild(roots).tobytes()
 
     def test_entries_near_the_float64_limit(self):
         K = np.array([[1.5e308, 1e307], [1e307, 1e308]])

@@ -7,7 +7,6 @@ from grasslrr import (
     RankDeficientError,
     glrr_f_solve,
     orthonormalize,
-    SymEig,
     project_embed,
     sym_eig,
 )
@@ -67,30 +66,29 @@ class TestThinSvd:
 
 class TestSymEig:
     def test_identity(self):
-        eig = sym_eig(np.eye(4))
-        np.testing.assert_allclose(eig.eigenvalues, np.ones(4), atol=1e-12)
+        w, _ = sym_eig(np.eye(4))
+        np.testing.assert_allclose(w, np.ones(4), atol=1e-12)
 
     def test_diagonal(self):
-        eig = sym_eig(np.diag([5.0, -2.0]))
-        np.testing.assert_allclose(eig.eigenvalues, [-2.0, 5.0], atol=1e-12)
+        w, _ = sym_eig(np.diag([5.0, -2.0]))
+        np.testing.assert_allclose(w, [-2.0, 5.0], atol=1e-12)
 
     def test_trace_identity(self):
         rng = np.random.default_rng(7)
         A = rng.standard_normal((6, 6))
         A = (A + A.T) / 2.0
-        eig = sym_eig(A)
-        assert abs(np.trace(A) - np.sum(eig.eigenvalues)) <= 1e-10
+        w, _ = sym_eig(A)
+        assert abs(np.trace(A) - np.sum(w)) <= 1e-10
 
     def test_eigenpairs(self):
         rng = np.random.default_rng(8)
         A = rng.standard_normal((5, 5))
         A = (A + A.T) / 2.0
-        eig = sym_eig(A)
-        V = eig.eigenvectors
+        w, V = sym_eig(A)
         np.testing.assert_allclose(V.T @ V, np.eye(5), atol=1e-10)
         scale = np.linalg.norm(A)
         for i in range(5):
-            resid = A @ V[:, i] - eig.eigenvalues[i] * V[:, i]
+            resid = A @ V[:, i] - w[i] * V[:, i]
             assert np.linalg.norm(resid) <= 1e-8 * scale
 
     def test_asymmetry_rejected(self):
@@ -106,8 +104,8 @@ class TestSymEig:
     def test_small_asymmetry_symmetrized(self):
         A = np.eye(3)
         A[0, 1] = 5e-9
-        eig = sym_eig(A)
-        assert np.isfinite(eig.eigenvalues).all()
+        w, _ = sym_eig(A)
+        assert np.isfinite(w).all()
 
     def test_asymmetry_tolerance_scales_with_the_matrix(self):
         # one ulp of asymmetry in a Gram matrix of entries near 1e12 is 4.9e-4 in
@@ -118,7 +116,7 @@ class TestSymEig:
         G[0, 1] = np.nextafter(G[0, 1], np.inf)
         assert np.max(np.abs(G - G.T)) > 1e-8
         assert np.max(np.abs(G - G.T)) <= 1e-15 * np.max(np.abs(G))
-        assert np.isfinite(sym_eig(G).eigenvalues).all()
+        assert np.isfinite(sym_eig(G)[0]).all()
         Z, _ = glrr_f_solve(G, 0.5)
         assert np.isfinite(Z.Z).all()
 
@@ -137,7 +135,7 @@ class TestSymEig:
         # A + A^T and A - A^T overflow although every entry and eigenvalue is finite
         A = np.array([[1.5e308, 1e307], [1e307, 1e308]])
         expected = 4.0 * np.linalg.eigvalsh(A / 4.0)
-        np.testing.assert_allclose(sym_eig(A).eigenvalues, expected, rtol=1e-15)
+        np.testing.assert_allclose(sym_eig(A)[0], expected, rtol=1e-15)
         with pytest.raises(InvalidInputError, match="asymmetry"):
             sym_eig(np.array([[1.0, 1.5e308], [-1.5e308, 1.0]]))
         # below half the float64 range the sum is not halved first
@@ -145,33 +143,12 @@ class TestSymEig:
         B = rng.standard_normal((5, 5)) * 1e307
         B = B + B.T
         assert np.max(np.abs(B)) < np.finfo(np.float64).max / 2.0
-        assert sym_eig(B).eigenvalues.tobytes() == np.linalg.eigh((B + B.T) / 2.0)[0].tobytes()
+        assert sym_eig(B)[0].tobytes() == np.linalg.eigh((B + B.T) / 2.0)[0].tobytes()
 
     def test_eigenvalue_beyond_float64_range_rejected(self):
         # every entry is finite, but the largest eigenvalue is about 3.1e308
         with pytest.raises(InvalidInputError, match="eigenvalue beyond float64 range"):
             sym_eig(np.array([[1.5e308, -1.7e308], [-1.7e308, 1.0]]))
-
-    def test_rebuild_near_the_float64_limit(self):
-        eig = SymEig(eigenvalues=np.array([1.5e308, 1.0]), eigenvectors=np.eye(2))
-        assert eig.rebuild(eig.eigenvalues).tolist() == [[1.5e308, 0.0], [0.0, 1.0]]
-
-    def test_rebuild_is_the_reconstruction_it_replaced(self):
-        # the PSD repair, the kernel square root and the closed-form Z are rebuilds, so
-        # rebuild must give the bytes of (V * f) @ V.T symmetrized as (M + M.T) / 2
-        rng = np.random.default_rng(11)
-        A = rng.standard_normal((9, 9))
-        eig = sym_eig(A + A.T)
-        w, V = eig.eigenvalues, eig.eigenvectors
-        assert w[0] < 0.0  # indefinite, so the clamp repairs
-        clamped = np.maximum(w, 0.0)
-        shrunk = np.where(w > 0.5, 1.0 - 0.5 / np.where(w > 0.5, w, 1.0), 0.0)
-        for values in (clamped, np.sqrt(clamped), shrunk, w):
-            M = (V * values) @ V.T
-            rebuilt = eig.rebuild(values)
-            assert rebuilt.tobytes() == ((M + M.T) / 2.0).tobytes()
-            assert np.array_equal(rebuilt, rebuilt.T)
-        np.testing.assert_allclose(eig.rebuild(w), A + A.T, atol=1e-12)
 
 
 class TestOrthonormalize:
