@@ -5,8 +5,6 @@ from .admm import (
     AdmmReport,
     admm_solve,
     dense_reference,
-    mu_update,
-    rho_rule,
     svt,
 )
 from .closed_form import (
@@ -25,7 +23,6 @@ from .clustering import (
     ncut,
 )
 from .dataio import (
-    ImageSet,
     Manifest,
     SynthSpec,
     build_point,

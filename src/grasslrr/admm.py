@@ -45,12 +45,10 @@ Squaring the argument halves the relative accuracy of its small singular
 values, so the eigh path runs only while the threshold is at least
 SVT_EIGH_GUARD = 1e-4 times the largest singular value: every kept singular
 value is then at least 1e-4 sigma_max.  The property tests hold this path
-to 1e-12 sigma_max of an SVD; measured, it is 8.6e-13 sigma_max at worst
-just above the guard and 3.9e-15 sigma_max on the robust-21 benchmark's
-solves, whose thresholds are at least 0.0195 sigma_max.  Below the guard,
-or when ``eigh`` fails, the SVT is numpy's gesdd SVD, with scipy's gesvd as
-the last resort.  ``AdmmReport.svt_drivers`` counts the iterations each of
-the three served.
+to 1e-12 sigma_max of an SVD; ``_svt`` gives its measured accuracy.  Below
+the guard, or when ``eigh`` fails, the SVT is numpy's gesdd SVD, with
+scipy's gesvd as the last resort.  ``AdmmReport.svt_drivers`` counts the
+iterations each of the three served.
 
 Each solve also certifies how far from optimal its answer can be.
 ``primal_bound`` is the objective at the returned Z with E(i) = B_i minus
@@ -109,7 +107,7 @@ class AdmmConfig:
         for name, value in finite.items():
             if not math.isfinite(value):
                 raise InvalidConfigError(f"{name} must be finite, got {value}")
-        # mu_max=inf is legal: mu then grows by the rho rule without a cap
+        # mu_max=inf is legal: next_mu then grows mu by rho0 without a cap
         if math.isnan(self.mu_max):
             raise InvalidConfigError("mu_max must not be nan")
         if not (self.mu0 > 0.0):
@@ -133,7 +131,6 @@ class AdmmState:
     Eh: np.ndarray
     Xh: np.ndarray
     mu: float
-    iter: int = 0
 
     @property
     def Z(self) -> np.ndarray:
@@ -158,16 +155,17 @@ class AdmmReport:
     z_history: list | None = None
     e_history: list | None = None
     final_state: "AdmmState | None" = None
-    # "converged" or "max_iters"; returned_iteration is the 1-based index of
-    # the returned iterate (0: the all-zero start), and z_singular_values its
-    # thresholded singular values, descending: SVD order, not sym_eig's
-    stop_reason: str = "max_iters"
+    # returned_iteration is the 1-based index of the returned iterate (0: the
+    # all-zero start), and z_singular_values its thresholded singular values,
+    # descending: SVD order, not sym_eig's.  dense_reference fills iterations,
+    # converged, returned_iteration and the histories; it leaves final_state
+    # and z_singular_values None, svt_drivers all zero (it calls svt, which
+    # does not count) and the three bounds below nan
     returned_iteration: int = 0
     z_singular_values: np.ndarray | None = None
     # iterations whose SVT ran on each driver (see _svt)
     svt_drivers: dict = field(default_factory=lambda: {"eigh": 0, "gesdd": 0, "gesvd": 0})
-    # the certified optimality gap of admm_solve (module docstring); nan from
-    # dense_reference, which does not compute it
+    # the certified optimality gap of admm_solve (module docstring)
     primal_bound: float = math.nan
     dual_bound: float = math.nan
     relative_gap: float = math.nan
@@ -228,13 +226,9 @@ def svt(M, tau: float) -> np.ndarray:
     return _svt(M, tau)[0]
 
 
-def rho_rule(change: float, config: AdmmConfig) -> float:
-    """Penalty growth factor: rho0 while the scaled iterate change is small."""
-    return config.rho0 if change <= config.eps2 else 1.0
-
-
-def mu_update(mu: float, rho_applied: float, mu_max: float) -> float:
-    return min(rho_applied * mu, mu_max)
+def next_mu(mu: float, change: float, config: AdmmConfig) -> float:
+    """The next penalty: rho0 mu while the scaled iterate change is <= eps2, capped at mu_max."""
+    return min((config.rho0 if change <= config.eps2 else 1.0) * mu, config.mu_max)
 
 
 def _weighted_sq(lam_d: np.ndarray, A: np.ndarray) -> float:
@@ -335,7 +329,7 @@ def admm_solve(
             report.e_history.append(Q @ Eh_next)
 
         Zh, Eh, Xh = Zh_next, Eh_next, Xh_next
-        mu = mu_update(mu, rho_rule(change, config), config.mu_max)
+        mu = next_mu(mu, change, config)
         report.iterations = k + 1
 
         converged = primal <= config.eps1 and change <= config.eps2
@@ -343,10 +337,9 @@ def admm_solve(
             best = (primal, Zh, Eh, shrunk, k + 1)
         if converged:
             report.converged = True
-            report.stop_reason = "converged"
             break
 
-    report.final_state = AdmmState(Q=Q, Zh=Zh, Eh=Eh, Xh=Xh, mu=mu, iter=report.iterations)
+    report.final_state = AdmmState(Q=Q, Zh=Zh, Eh=Eh, Xh=Xh, mu=mu)
     _, Zh_out, Eh_out, s_out, report.returned_iteration = best
     report.z_singular_values = np.concatenate((s_out, np.zeros(n - s_out.size)))
     report.primal_bound, report.dual_bound, report.relative_gap = _gap(
@@ -387,7 +380,9 @@ def dense_reference(
         report.z_history = []
         report.e_history = []
 
-    best = (np.inf, Z.copy(), [e.copy() for e in E])
+    # (primal, Z, E, iteration); no iterate is written in place once formed,
+    # so holding references is enough
+    best = (np.inf, Z, E, 0)
 
     for k in range(config.max_iters):
         # E-step, slice by slice.
@@ -435,22 +430,19 @@ def dense_reference(
         report.objective_history.append(objective)
         report.mu_history.append(mu)
         if track_iterates:
-            report.z_history.append(Z_next.copy())
-            report.e_history.append([E_next[i].copy() for i in range(n)])
+            report.z_history.append(Z_next)
+            report.e_history.append(list(E_next))
 
         Z, E, Xi = Z_next, E_next, Xi_next
-        mu = mu_update(mu, rho_rule(change, config), config.mu_max)
+        mu = next_mu(mu, change, config)
         report.iterations = k + 1
 
-        if primal < best[0]:
-            best = (primal, Z.copy(), [E[i].copy() for i in range(n)])
-
-        if primal <= config.eps1 and change <= config.eps2:
+        converged = primal <= config.eps1 and change <= config.eps2
+        if primal < best[0] or converged:
+            best = (primal, Z, E, k + 1)
+        if converged:
             report.converged = True
             break
 
-    if report.converged:
-        Z_out, E_out = Z, [E[i] for i in range(n)]
-    else:
-        Z_out, E_out = best[1], best[2]
-    return LowRankCoefficients(Z=Z_out), E_out, report
+    _, Z_out, E_out, report.returned_iteration = best
+    return LowRankCoefficients(Z=Z_out), list(E_out), report

@@ -37,17 +37,6 @@ _INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
-class ImageSet:
-    """One sample set: columns of ``samples`` are vectorized observations."""
-
-    id: str
-    samples: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", as_matrix(self.samples, f"samples[{self.id}]"))
-
-
-@dataclass(frozen=True)
 class Manifest:
     entries: list
     base_dir: str
@@ -251,19 +240,19 @@ def load_manifest(path) -> Manifest:
     return Manifest(entries=entries, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def _read_set(base_dir: str, rel: str, d: int | None) -> ImageSet:
+def _read_set(base_dir: str, rel: str, d: int | None) -> np.ndarray:
     full = os.path.join(base_dir, rel)
     if not os.path.exists(full):
         raise InvalidInputError(f"dataset file not found: {full}")
     samples = read_matrix(full)
     if d is not None and samples.shape[0] != d:
         raise InvalidInputError(f"{full}: sample dimension {samples.shape[0]} differs from {d}")
-    return ImageSet(id=rel, samples=samples)
+    return samples
 
 
 def _embed_chunk(base_dir: str, entries, d: int, p: int, standardize: bool):
     """``build_point`` of each entry's set, built as soon as it is read."""
-    return [build_point(_read_set(base_dir, rel, d), p, standardize) for rel, _ in entries]
+    return [build_point(_read_set(base_dir, rel, d), p, standardize, rel) for rel, _ in entries]
 
 
 def load_points(manifest: Manifest, p: int | None = None,
@@ -284,8 +273,8 @@ def load_points(manifest: Manifest, p: int | None = None,
         return []
     workers = max(1, min(load_workers(manifest), len(entries) - 1))  # no empty chunk
     first = _read_set(base, entries[0][0], None)
-    d, p = first.samples.shape[0], min(first.samples.shape) if p is None else p
-    points = [build_point(first, p, standardize)]
+    d, p = first.shape[0], min(first.shape) if p is None else p
+    points = [build_point(first, p, standardize, entries[0][0])]
     rest = entries[1:]
     bounds = [len(rest) * c // workers for c in range(workers + 1)]
     jobs = [(base, rest[a:b], d, p, standardize) for a, b in zip(bounds, bounds[1:])]
@@ -317,14 +306,16 @@ def load_workers(manifest: Manifest) -> int:
                         LOAD_BYTES_PER_WORKER)
 
 
-def build_point(image_set: ImageSet, p: int, standardize: bool = False) -> GrassmannPoint:
-    """Subspace basis from the first p left singular vectors of the sample matrix.
+def build_point(samples, p: int, standardize: bool, name: str) -> GrassmannPoint:
+    """Subspace basis from the first p left singular vectors of a sample matrix.
 
-    ``standardize`` centers and scales each column (sample) to mean zero and
-    unit variance first; off by default since it is dataset-dependent.  A power-of-two
-    scale per column first (exact, and lost in the result) keeps its squares in range.
+    ``samples``, checked finite and 2-D here, holds one vectorized observation
+    per column; ``name``, the manifest entry's path, heads every error.
+    ``standardize`` centers and scales each column to mean zero and unit
+    variance first.  A power-of-two scale per column first (exact, and lost
+    in the result) keeps its squares in range.
     """
-    samples = image_set.samples
+    samples = as_matrix(samples, f"samples[{name}]")
     if standardize:
         samples = np.ldexp(samples, -np.frexp(np.max(np.abs(samples), axis=0))[1])
         mean = samples.mean(axis=0, keepdims=True)
@@ -332,15 +323,15 @@ def build_point(image_set: ImageSet, p: int, standardize: bool = False) -> Grass
         if np.any(std == 0.0):
             bad = int(np.flatnonzero(std[0] == 0.0)[0])
             raise InvalidInputError(
-                f"sample column {bad} of {image_set.id!r} is constant; cannot standardize"
+                f"sample column {bad} of {name!r} is constant; cannot standardize"
             )
         samples = (samples - mean) / std
     try:
         return orthonormalize(samples, p)
     except RankDeficientError as exc:
-        raise RankDeficientError(f"{image_set.id!r}: {exc}", exc.achieved_rank) from None
+        raise RankDeficientError(f"{name!r}: {exc}", exc.achieved_rank) from None
     except InvalidInputError as exc:  # p beyond the matrix's sides
-        raise InvalidInputError(f"{image_set.id!r}: {exc}") from None
+        raise InvalidInputError(f"{name!r}: {exc}") from None
 
 
 def _min_pairwise_angle_deg(centers: list[GrassmannPoint]) -> float:

@@ -12,15 +12,13 @@ from grasslrr import (
     admm_solve,
     build_delta,
     dense_reference,
-    mu_update,
     orthonormalize,
     project_embed,
-    rho_rule,
     svt,
     synth_union,
     SynthSpec,
 )
-from grasslrr.admm import ETA_MARGIN, SVT_EIGH_GUARD, _svt
+from grasslrr.admm import ETA_MARGIN, SVT_EIGH_GUARD, _svt, next_mu
 from grasslrr.clustering import NcutConfig, affinity_from_Z, cluster_pipeline
 from grasslrr.kernels import KernelSpec, assemble_gram
 from oracles import e_step, z_step
@@ -254,16 +252,17 @@ class TestZStep:
 class TestPenaltySchedule:
     def test_growth_when_stable(self):
         cfg = AdmmConfig(lam=1.0)
-        assert rho_rule(5e-5, cfg) == 1.9
-        assert mu_update(2.0, 1.9, cfg.mu_max) == pytest.approx(3.8)
+        assert next_mu(2.0, 5e-5, cfg) == 1.9 * 2.0
+        assert next_mu(2.0, cfg.eps2, cfg) == 1.9 * 2.0
 
     def test_frozen_when_moving(self):
         cfg = AdmmConfig(lam=1.0)
-        assert rho_rule(5e-3, cfg) == 1.0
-        assert mu_update(2.0, 1.0, cfg.mu_max) == 2.0
+        assert next_mu(2.0, 5e-3, cfg) == 2.0
 
     def test_cap(self):
-        assert mu_update(1e10, 1.9, mu_max=1e10) == 1e10
+        cfg = AdmmConfig(lam=1.0, mu_max=1e10)
+        assert next_mu(1e10, 5e-5, cfg) == 1e10
+        assert next_mu(6e9, 5e-5, cfg) == 1e10
 
 
 class TestAdmmSolve:
@@ -444,7 +443,7 @@ class TestAdmmSolve:
         assert np.max(np.abs(state.Ecoef)) == 0.0
         assert np.max(np.abs(state.Xicoef)) == 0.0
         assert state.mu == 0.01
-        assert state.iter == 0
+        assert report.iterations == 0
 
 
 class TestCertificate:
@@ -540,34 +539,49 @@ class TestConfigValidation:
                 AdmmConfig(lam=lam)
 
 
+def solve_points(solver, points, cfg, track_iterates=False):
+    """``admm_solve`` on the points' Gram matrix, or ``dense_reference`` on the points."""
+    if solver is admm_solve:
+        return admm_solve(build_delta(points), cfg, track_iterates)
+    return dense_reference(points, cfg, track_iterates)
+
+
 class TestStopReason:
+    # each stop-and-return case runs on both solvers: dense_reference keeps
+    # the iterate it returns the way admm_solve does
+    SOLVERS = (admm_solve, dense_reference)
+
     def test_converged_returns_last_iterate(self):
         points = random_points(11, 8, 12, 2)
+        for solver in self.SOLVERS:
+            Z, _, report = solve_points(solver, points, AdmmConfig(lam=2.0), track_iterates=True)
+            assert report.converged, solver.__name__
+            assert report.returned_iteration == report.iterations >= 1, solver.__name__
+            assert np.array_equal(Z.Z, report.z_history[report.returned_iteration - 1])
         Z, _, report = admm_solve(build_delta(points), AdmmConfig(lam=2.0))
-        assert report.converged
-        assert report.stop_reason == "converged"
-        assert report.returned_iteration == report.iterations
         assert np.array_equal(Z.Z, report.final_state.Z)
 
     def test_max_iters_returns_best_primal_iterate(self):
         points = random_points(15, 6, 9, 2)
-        delta = build_delta(points)
         cfg = AdmmConfig(lam=0.5, max_iters=3)
-        Z, E, report = admm_solve(delta, cfg)
-        _, _, tracked = admm_solve(delta, cfg, track_iterates=True)
-        assert not report.converged
-        assert report.stop_reason == "max_iters"
-        best = int(np.argmin(report.primal_residual_history)) + 1
-        assert report.returned_iteration == best
-        assert np.array_equal(Z.Z, tracked.z_history[best - 1])
-        assert np.array_equal(E, tracked.e_history[best - 1])
+        for solver in self.SOLVERS:
+            Z, E, report = solve_points(solver, points, cfg)
+            _, _, tracked = solve_points(solver, points, cfg, track_iterates=True)
+            assert not report.converged, solver.__name__
+            best = int(np.argmin(report.primal_residual_history)) + 1
+            assert report.returned_iteration == best, solver.__name__
+            assert np.array_equal(Z.Z, tracked.z_history[best - 1])
+            assert np.array_equal(E, tracked.e_history[best - 1])
 
     def test_zero_iterations_returns_start(self):
         points = random_points(14, 5, 8, 2)
-        _, _, report = admm_solve(build_delta(points), AdmmConfig(lam=1.0, max_iters=0))
-        assert report.stop_reason == "max_iters"
-        assert report.returned_iteration == 0
-        assert np.array_equal(report.z_singular_values, np.zeros(5))
+        for solver in self.SOLVERS:
+            Z, _, report = solve_points(solver, points, AdmmConfig(lam=1.0, max_iters=0))
+            assert not report.converged, solver.__name__
+            assert report.iterations == report.returned_iteration == 0, solver.__name__
+            assert np.max(np.abs(Z.Z)) == 0.0
+            if solver is admm_solve:
+                assert np.array_equal(report.z_singular_values, np.zeros(5))
 
     def test_singular_values_belong_to_returned_iterate(self):
         for cfg in (AdmmConfig(lam=2.0), AdmmConfig(lam=0.5, max_iters=3)):

@@ -791,11 +791,11 @@ class TestLoaderWorkerFailure:
 
 
 PUBLIC_NAMES = {
-    "AdmmConfig", "AdmmReport", "admm_solve", "dense_reference", "mu_update", "rho_rule", "svt",
+    "AdmmConfig", "AdmmReport", "admm_solve", "dense_reference", "svt",
     "ClosedFormReport", "LowRankCoefficients", "build_delta", "glrr_f_solve",
     "ClusterLabels", "NcutConfig", "affinity_from_Z", "cluster_pipeline", "cluster_sweep",
     "kmeans", "ncut",
-    "ImageSet", "Manifest", "SynthSpec", "build_point", "load_manifest",
+    "Manifest", "SynthSpec", "build_point", "load_manifest",
     "read_labels", "read_matrix", "save_results", "synth_union", "write_labels", "write_matrix",
     "GrassLrrError", "InfeasibleSpecError", "InvalidConfigError", "InvalidInputError",
     "NumericalDivergenceError", "OracleTooLargeError", "RankDeficientError",
@@ -812,7 +812,7 @@ def test_package_exports_exactly_the_public_names():
     # (grasslrr.admm.AdmmState, grasslrr.kernels.psd_clamp, ...)
     exported = {name for name, value in vars(grasslrr).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
-    assert len(PUBLIC_NAMES) == 48
+    assert len(PUBLIC_NAMES) == 45
     assert exported == PUBLIC_NAMES
 
 

@@ -11,7 +11,6 @@ import pytest
 from grasslrr import dataio, errors
 from grasslrr import (
     ClusterLabels,
-    ImageSet,
     InfeasibleSpecError,
     InvalidInputError,
     SynthSpec,
@@ -287,8 +286,8 @@ class TestParallelLoader:
     @pytest.mark.parametrize("form", ["hex", "decimal"])
     def test_points_bit_identical(self, tmp_path, monkeypatch, form):
         manifest = write_sets(tmp_path, self.mats(), form)
-        expected = [build_point(ImageSet(id=rel, samples=read_matrix(tmp_path / rel)), 5)
-                    .basis.tobytes() for rel, _ in manifest.entries]
+        expected = [build_point(read_matrix(tmp_path / rel), 5, False, rel).basis.tobytes()
+                    for rel, _ in manifest.entries]
         calls, post_init = [], GrassmannPoint.__post_init__
 
         def counted(point):
@@ -339,9 +338,9 @@ class TestParallelLoader:
             calls.append(("read", rel))
             return read_set(base_dir, rel, d)
 
-        def counted_build(image_set, p, standardize=False):
-            calls.append(("build", image_set.id))
-            return embed(image_set, p, standardize)
+        def counted_build(samples, p, standardize, name):
+            calls.append(("build", name))
+            return embed(samples, p, standardize, name)
 
         monkeypatch.setattr(dataio, "_read_set", counted_read)
         monkeypatch.setattr(dataio, "build_point", counted_build)
@@ -419,33 +418,33 @@ class TestBuildPoint:
     def test_orthonormal_columns_keep_span(self):
         rng = np.random.default_rng(3)
         Q = np.linalg.qr(rng.standard_normal((8, 3)))[0]
-        point = build_point(ImageSet(id="s", samples=Q), 3)
+        point = build_point(Q, 3, False, "s")
         assert np.linalg.norm(point.basis @ point.basis.T - Q @ Q.T) <= 1e-10
 
     def test_identical_columns(self):
         v = np.array([3.0, 0.0, 4.0])
         samples = np.stack([v, v, v], axis=1)
-        point = build_point(ImageSet(id="s", samples=samples), 1)
+        point = build_point(samples, 1, False, "s")
         np.testing.assert_allclose(point.basis[:, 0], v / 5.0, atol=1e-12)
 
     def test_delegates_to_orthonormalize(self):
         rng = np.random.default_rng(4)
         samples = rng.standard_normal((10, 6))
-        point = build_point(ImageSet(id="s", samples=samples), 3)
+        point = build_point(samples, 3, False, "s")
         direct = orthonormalize(samples, 3)
         assert np.array_equal(point.basis, direct.basis)
 
     def test_duplicated_columns_leave_span(self):
         rng = np.random.default_rng(5)
         samples = rng.standard_normal((9, 4))
-        base = build_point(ImageSet(id="s", samples=samples), 2)
-        doubled = build_point(ImageSet(id="s2", samples=np.hstack([samples, samples])), 2)
+        base = build_point(samples, 2, False, "s")
+        doubled = build_point(np.hstack([samples, samples]), 2, False, "s2")
         assert grassmann_distance(base, doubled) <= 1e-7
 
     def test_standardize_flag(self):
         rng = np.random.default_rng(6)
         samples = rng.standard_normal((50, 4)) * 3.0 + 5.0
-        point = build_point(ImageSet(id="s", samples=samples), 2, standardize=True)
+        point = build_point(samples, 2, True, "s")
         standardized = (samples - samples.mean(axis=0)) / samples.std(axis=0)
         direct = orthonormalize(standardized, 2)
         assert np.array_equal(point.basis, direct.basis)
@@ -456,24 +455,31 @@ class TestBuildPoint:
         # rank deficiency) and underflow to a false constant column at 1e-200 and 1e-300
         rng = np.random.default_rng(7)
         samples = rng.standard_normal((8, 2)) @ rng.standard_normal((2, 5))
-        base = build_point(ImageSet(id="s", samples=samples), 2, standardize=True)
-        scaled = build_point(ImageSet(id="s", samples=samples * scale), 2, standardize=True)
+        base = build_point(samples, 2, True, "s")
+        scaled = build_point(samples * scale, 2, True, "s")
         gap = base.basis @ base.basis.T - scaled.basis @ scaled.basis.T
         assert np.max(np.abs(gap)) <= 1e-12
 
     def test_standardize_ignores_power_of_two_scales(self):
         rng = np.random.default_rng(8)
         samples = rng.standard_normal((8, 5)) * 3.0 + 5.0
-        base = build_point(ImageSet(id="s", samples=samples), 2, standardize=True)
+        base = build_point(samples, 2, True, "s")
         for e in (-1000, -60, 1, 60, 1000):
-            scaled = build_point(ImageSet(id="s", samples=np.ldexp(samples, e)), 2,
-                                 standardize=True)
+            scaled = build_point(np.ldexp(samples, e), 2, True, "s")
             assert np.array_equal(scaled.basis, base.basis)
 
     def test_standardize_constant_column(self):
         samples = np.ones((5, 2))
-        with pytest.raises(InvalidInputError):
-            build_point(ImageSet(id="s", samples=samples), 1, standardize=True)
+        with pytest.raises(InvalidInputError, match="column 0 of 's' is constant"):
+            build_point(samples, 1, True, "s")
+
+    def test_checks_the_matrix(self):
+        samples = np.ones((4, 3))
+        samples[2, 1] = np.nan
+        with pytest.raises(InvalidInputError, match=r"samples\[s\] contains non-finite"):
+            build_point(samples, 1, False, "s")
+        with pytest.raises(InvalidInputError, match=r"samples\[s\] must be 2-D"):
+            build_point(np.ones(4), 1, False, "s")
 
 
 class TestSynthUnion:
