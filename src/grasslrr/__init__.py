@@ -49,7 +49,6 @@ from .kernels import (
     KernelSpec,
     gram,
     kernel_sqrt,
-    principal_angle_cosines,
 )
 from .manifold import (
     GrassmannPoint,

@@ -132,18 +132,6 @@ class AdmmState:
     Xh: np.ndarray
     mu: float
 
-    @property
-    def Z(self) -> np.ndarray:
-        return self.Q @ self.Zh
-
-    @property
-    def Ecoef(self) -> np.ndarray:
-        return self.Q @ self.Eh
-
-    @property
-    def Xicoef(self) -> np.ndarray:
-        return self.Q @ self.Xh
-
 
 @dataclass
 class AdmmReport:

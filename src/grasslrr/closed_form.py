@@ -37,21 +37,15 @@ class LowRankCoefficients:
 class ClosedFormReport:
     """Spectrum-level account of one closed-form solve.
 
-    ``eigenvalues_sigma`` are the r eigenvalues of G that ``psd_clamp``
-    keeps, ascending as ``sym_eig`` returns them.  ``objective_value`` is
-    the solved objective evaluated via traces,
-    (1/2)[tr(G) - 2 tr(ZG) + tr(ZGZ^T)] + lam ||Z||_*; ``residual_sq`` is
-    the unhalved fit term ||Z G^{1/2} - G^{1/2}||_F^2 (equal to the
-    embedded-space reconstruction error when G is the point Gram matrix)
-    and ``nuclear_norm`` the penalty term.
+    ``kept_count`` is the rank of Z, the number of eigenvalues above lam.
+    ``objective_value`` is the solved objective evaluated via traces,
+    (1/2)[tr(G) - 2 tr(ZG) + tr(ZGZ^T)] + lam ||Z||_*, whose fit term is
+    ||Z G^{1/2} - G^{1/2}||_F^2 (the embedded-space reconstruction error when
+    G is the point Gram matrix).
     """
 
-    lam: float
-    eigenvalues_sigma: np.ndarray
     kept_count: int
     objective_value: float
-    residual_sq: float
-    nuclear_norm: float
 
 
 def build_delta(points: list[GrassmannPoint]) -> KernelMatrix:
@@ -79,14 +73,7 @@ def glrr_f_solve(G, lam: float) -> tuple[LowRankCoefficients, ClosedFormReport]:
     # All traces diagonalize in the eigenbasis: tr(G) - 2 tr(ZG) + tr(ZGZ^T) is
     # sum sigma_i (1 - f_i)^2, summed without the three large terms that cancel
     residual_sq = float(np.sum(sigma * (1.0 - shrunk) ** 2))
-    nuclear = float(np.sum(shrunk))
-    report = ClosedFormReport(
-        lam=lam,
-        eigenvalues_sigma=sigma,
-        kept_count=kept,
-        objective_value=0.5 * residual_sq + lam * nuclear,
-        residual_sq=residual_sq,
-        nuclear_norm=nuclear,
-    )
+    report = ClosedFormReport(kept_count=kept,
+                              objective_value=0.5 * residual_sq + lam * float(np.sum(shrunk)))
     Z.setflags(write=False)
     return LowRankCoefficients(Z=Z), report

@@ -328,7 +328,7 @@ def _solve_lambda(G, method: str, lam: float, ncut_cfg: NcutConfig,
         iterations, converged = report.iterations, report.converged
     else:
         coeffs, report = glrr_f_solve(G, lam)
-        lam, iterations, converged, rank_z = report.lam, 0, True, report.kept_count
+        iterations, converged, rank_z = 0, True, report.kept_count
     labels = ncut(affinity_from_Z(coeffs), ncut_cfg)
     return labels, coeffs, dict(
         method=method,

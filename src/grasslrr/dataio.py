@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GrassLrrError, InfeasibleSpecError, InvalidInputError, RankDeficientError
-from .kernels import principal_angle_cosines
+from .kernels import KernelSpec, assemble_gram
 from .manifold import GrassmannPoint, as_matrix, orthonormalize
 from .parallel import ordered_map, system_cpus, worker_count
 from .rng import SplitMix64
@@ -334,15 +334,6 @@ def build_point(samples, p: int, standardize: bool, name: str) -> GrassmannPoint
         raise InvalidInputError(f"{name!r}: {exc}") from None
 
 
-def _min_pairwise_angle_deg(centers: list[GrassmannPoint]) -> float:
-    worst = 90.0
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            top = float(principal_angle_cosines(centers[i], centers[j])[0])
-            worst = min(worst, math.degrees(math.acos(min(max(top, 0.0), 1.0))))
-    return worst
-
-
 def synth_union(spec: SynthSpec) -> tuple[list[GrassmannPoint], np.ndarray]:
     """Seeded union-of-subspaces sample: points plus ground-truth labels.
 
@@ -363,7 +354,9 @@ def synth_union(spec: SynthSpec) -> tuple[list[GrassmannPoint], np.ndarray]:
         centers = None
         for _ in range(MAX_CENTER_REDRAWS):
             draw = [orthonormalize(rng.normal_matrix(spec.d, spec.p), spec.p) for _ in range(C)]
-            if C == 1 or _min_pairwise_angle_deg(draw) >= spec.min_separation:
+            # cc-max's largest off-diagonal entry is the cosine of the smallest pairwise angle
+            if C == 1 or math.degrees(math.acos(np.triu(assemble_gram(
+                    draw, KernelSpec(kind="cc-max")), 1).max())) >= spec.min_separation:
                 centers = draw
                 break
         if centers is None:

@@ -20,7 +20,6 @@ from .manifold import as_matrix
 @dataclass(frozen=True)
 class EvalReport:
     accuracy: float
-    matching: list
     confusion: np.ndarray
 
 
@@ -73,18 +72,11 @@ def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
 
 
 def hungarian(cost) -> list[int]:
-    """Minimum-cost assignment; returns the chosen column for each row.
-
-    Rectangular inputs are padded to square with a cost exceeding every real
-    entry, so unmatched rows land on dummy columns (index >= original cols).
-    """
+    """Minimum-cost assignment of a square cost matrix; the chosen column for each row."""
     cost = as_matrix(cost, "cost")
-    n, m = cost.shape
-    side = max(n, m)
-    pad_value = float(cost.max()) + 1.0
-    padded = np.full((side, side), pad_value)
-    padded[:n, :m] = cost
-    return _min_cost_assignment(padded)[:n].tolist()
+    if cost.shape[0] != cost.shape[1]:
+        raise InvalidInputError(f"cost must be square, got {cost.shape}")
+    return _min_cost_assignment(cost).tolist()
 
 
 def accuracy(pred: ClusterLabels, truth: ClusterLabels) -> EvalReport:
@@ -94,13 +86,12 @@ def accuracy(pred: ClusterLabels, truth: ClusterLabels) -> EvalReport:
             f"label lengths differ: {pred.labels.shape[0]} vs {truth.labels.shape[0]}"
         )
     n = pred.labels.shape[0]
-    side = max(pred.n_clusters, truth.n_clusters)
+    side = max(pred.n_clusters, truth.n_clusters)  # square, as hungarian requires
     contingency = np.zeros((side, side), dtype=np.int64)
     np.add.at(contingency, (pred.labels, truth.labels), 1)
 
     assignment = hungarian(-contingency.astype(np.float64))
     matched = int(sum(contingency[p, assignment[p]] for p in range(side)))
-    matching = [(p, assignment[p]) for p in range(pred.n_clusters)]
     confusion = contingency.copy()
     confusion.setflags(write=False)
-    return EvalReport(accuracy=matched / n, matching=matching, confusion=confusion)
+    return EvalReport(accuracy=matched / n, confusion=confusion)

@@ -65,15 +65,6 @@ class KernelMatrix:
         return self.rebuild(self.eigenvalues)
 
 
-def principal_angle_cosines(X1: GrassmannPoint, X2: GrassmannPoint) -> np.ndarray:
-    """Singular values of X1^T X2 clipped to [0, 1]: read-only principal-angle cosines."""
-    check_same_shape(X1, X2)
-    s = np.linalg.svd(X1.basis.T @ X2.basis, compute_uv=False)
-    out = np.clip(s, 0.0, 1.0)
-    out.setflags(write=False)
-    return out
-
-
 def psd_clamp(K) -> KernelMatrix:
     """K's eigenpairs above N eps max(lambda_max, 0) and the repair magnitude, as a KernelMatrix.
 

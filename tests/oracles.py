@@ -4,7 +4,9 @@
 reuses work across steps; ``e_step`` and ``z_step`` form every Gram product
 anew, so replaying them against the solver's tracked iterates checks the
 rewrite.  ``k_projection``, ``k_cc`` and ``k_ccp`` evaluate one kernel value
-per point pair, against which ``assemble_gram``'s batched rows are checked;
+per point pair, against which ``assemble_gram``'s batched rows are checked,
+and ``principal_angle_cosines`` gives ``k_cc`` (and the synth fixtures'
+separation checks) one pair's principal-angle cosines from its own SVD;
 ``thin_svd`` is the sign-canonical SVD ``orthonormalize`` takes its basis
 from, and ``grassmann_distance`` the projection-embedding distance the
 fixtures' separations are checked with.  ``load_report`` reads back the
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from grasslrr import InvalidConfigError, principal_angle_cosines, svt
+from grasslrr import InvalidConfigError, svt
 from grasslrr.dataio import read_lines
 from grasslrr.manifold import as_matrix, canonical_signs, check_same_shape
 
@@ -61,6 +63,15 @@ def k_projection(X1, X2) -> float:
     check_same_shape(X1, X2)
     cross = X1.basis.T @ X2.basis
     return float(np.sum(cross * cross))
+
+
+def principal_angle_cosines(X1, X2) -> np.ndarray:
+    """Singular values of X1^T X2 clipped to [0, 1]: read-only principal-angle cosines."""
+    check_same_shape(X1, X2)
+    s = np.linalg.svd(X1.basis.T @ X2.basis, compute_uv=False)
+    out = np.clip(s, 0.0, 1.0)
+    out.setflags(write=False)
+    return out
 
 
 def k_cc(X1, X2, variant: str = "sum") -> float:

@@ -282,7 +282,7 @@ class TestAdmmSolve:
         # fixed point: re-applying the E-step closed form at the final state
         # (Z = 0 throughout) reproduces the returned columns
         state = report.final_state
-        replay = e_step(state.Z, state.Xicoef, state.mu, delta.values)
+        replay = e_step(state.Q @ state.Zh, state.Q @ state.Xh, state.mu, delta.values)
         np.testing.assert_allclose(replay, Ecoef, atol=1e-3)
 
     def test_eigenvalue_beyond_float64_range_rejected(self):
@@ -411,8 +411,7 @@ class TestAdmmSolve:
 
     def test_final_state_kept_in_coordinates(self):
         # N = 30 points exceed d(d+1)/2 = 15, so the eigenbasis Q is 30 x m with
-        # m < 30: the state holds only m x N coordinates and the shared Q, and
-        # forms Z, E and Xi from them on each read
+        # m < 30: the state holds only m x N coordinates and the shared Q
         delta = build_delta(random_points(28, 30, 5, 2))
         _, _, report = admm_solve(delta, AdmmConfig(lam=0.5, max_iters=5))
         state = report.final_state
@@ -421,10 +420,8 @@ class TestAdmmSolve:
         assert m < 30
         assert not any(isinstance(v, np.ndarray) and v.shape == (30, 30)
                        for v in vars(state).values())
-        for coords, formed in ((state.Zh, state.Z), (state.Eh, state.Ecoef),
-                               (state.Xh, state.Xicoef)):
+        for coords in (state.Zh, state.Eh, state.Xh):
             assert coords.shape == (m, 30)
-            assert formed.tobytes() == (state.Q @ coords).tobytes()
         # the return step forms only the returned Z and E as N x N arrays: a
         # zero-iteration solve at N = 600 (m = 465) stays under 6 N^2 doubles
         n = 600
@@ -439,9 +436,9 @@ class TestAdmmSolve:
         points = random_points(14, 5, 8, 2)
         _, _, report = admm_solve(build_delta(points), AdmmConfig(lam=1.0, max_iters=0))
         state = report.final_state
-        assert np.max(np.abs(state.Z)) == 0.0
-        assert np.max(np.abs(state.Ecoef)) == 0.0
-        assert np.max(np.abs(state.Xicoef)) == 0.0
+        assert np.max(np.abs(state.Zh)) == 0.0
+        assert np.max(np.abs(state.Eh)) == 0.0
+        assert np.max(np.abs(state.Xh)) == 0.0
         assert state.mu == 0.01
         assert report.iterations == 0
 
@@ -469,7 +466,8 @@ class TestCertificate:
         slices = np.sqrt(np.maximum(np.sum(R * (D @ R), axis=0), 0.0))
         nuclear = np.sum(np.linalg.svd(Z.Z, compute_uv=False))
         primal = np.sum(slices) + cfg.lam * nuclear
-        Xi = report.final_state.Xicoef
+        state = report.final_state
+        Xi = state.Q @ state.Xh
         DXi = D @ Xi
         scale = min(1.0 / np.sqrt(np.max(np.sum(Xi * DXi, axis=0))),
                     cfg.lam / np.linalg.norm(DXi, 2))
@@ -559,7 +557,8 @@ class TestStopReason:
             assert report.returned_iteration == report.iterations >= 1, solver.__name__
             assert np.array_equal(Z.Z, report.z_history[report.returned_iteration - 1])
         Z, _, report = admm_solve(build_delta(points), AdmmConfig(lam=2.0))
-        assert np.array_equal(Z.Z, report.final_state.Z)
+        state = report.final_state
+        assert np.array_equal(Z.Z, state.Q @ state.Zh)
 
     def test_max_iters_returns_best_primal_iterate(self):
         points = random_points(15, 6, 9, 2)

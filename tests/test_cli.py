@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 import multiprocessing
@@ -801,7 +802,6 @@ PUBLIC_NAMES = {
     "NumericalDivergenceError", "OracleTooLargeError", "RankDeficientError",
     "accuracy", "hungarian",
     "KernelMatrix", "KernelSpec", "gram", "kernel_sqrt",
-    "principal_angle_cosines",
     "GrassmannPoint", "orthonormalize", "project_embed", "sym_eig",
     "SplitMix64",
 }
@@ -812,8 +812,21 @@ def test_package_exports_exactly_the_public_names():
     # (grasslrr.admm.AdmmState, grasslrr.kernels.psd_clamp, ...)
     exported = {name for name, value in vars(grasslrr).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
-    assert len(PUBLIC_NAMES) == 45
+    assert len(PUBLIC_NAMES) == 44
     assert exported == PUBLIC_NAMES
+
+
+def test_result_records_hold_only_what_the_pipeline_reads():
+    # what only tests read lives in tests/: the principal-angle oracle, the
+    # solver state's formed N x N matrices and the report fields that repeat
+    # the caller's lambda, the KernelMatrix's spectrum or the objective's terms
+    assert [f.name for f in dataclasses.fields(grasslrr.ClosedFormReport)] == [
+        "kept_count", "objective_value"]
+    assert [f.name for f in dataclasses.fields(grasslrr.evaluation.EvalReport)] == [
+        "accuracy", "confusion"]
+    assert not [name for name, value in vars(grasslrr.admm.AdmmState).items()
+                if isinstance(value, property)]
+    assert not hasattr(grasslrr.kernels, "principal_angle_cosines")
 
 
 def no_load(monkeypatch):

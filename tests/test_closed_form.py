@@ -14,7 +14,7 @@ from grasslrr import (
     orthonormalize,
     project_embed,
 )
-from grasslrr.kernels import assemble_gram
+from grasslrr.kernels import assemble_gram, psd_clamp
 
 
 def random_point(rng, d, p):
@@ -127,8 +127,8 @@ class TestGlrrFSolve:
         rng = np.random.default_rng(7)
         G = random_psd(rng, 9)
         lam = 0.4 * float(np.linalg.eigvalsh(G)[-1])
-        Z, report = glrr_f_solve(G, lam)
-        sigma = report.eigenvalues_sigma
+        Z, _ = glrr_f_solve(G, lam)
+        sigma = psd_clamp(G).eigenvalues
         expected = np.where(sigma > lam, 1.0 - lam / np.where(sigma > lam, sigma, 1.0), 0.0)
         actual = np.linalg.eigvalsh(Z.Z)[::-1]
         np.testing.assert_allclose(actual, np.sort(expected)[::-1], atol=1e-10)
@@ -193,7 +193,7 @@ class TestGlrrFSolve:
         Z, report = glrr_f_solve(G, 1.0)
         assert report.kept_count == 2
         np.testing.assert_allclose(Z.Z, np.eye(2), atol=1e-15)
-        assert np.isfinite([report.residual_sq, report.objective_value]).all()
+        assert np.isfinite(report.objective_value)
 
     def test_plain_array_is_repaired(self):
         # an indefinite array is solved on psd_clamp's spectrum, as its KernelMatrix is
@@ -204,9 +204,11 @@ class TestGlrrFSolve:
         assert K.clamp_magnitude > 0.0
         Zk, rep_k = glrr_f_solve(K, 0.3)
         Zr, rep_r = glrr_f_solve(raw, 0.3)
-        assert np.all(rep_r.eigenvalues_sigma > 0.0)
-        assert rep_r.eigenvalues_sigma.tobytes() == rep_k.eigenvalues_sigma.tobytes()
+        kept = psd_clamp(raw).eigenvalues
+        assert np.all(kept > 0.0)
+        assert kept.tobytes() == K.eigenvalues.tobytes()
         assert Zr.Z.tobytes() == Zk.Z.tobytes()
+        assert rep_r == rep_k
 
     def test_rejects_bad_lambda(self):
         with pytest.raises(InvalidConfigError):
@@ -286,8 +288,8 @@ class TestKglrrSolve:
 
 class TestObjectiveReconciliation:
     def test_embedded_objective_equals_residual_sq(self):
-        # the dense embedded-space reconstruction error is the unhalved fit term;
-        # their difference is independent of Z (identically zero for the Gram path)
+        # the dense embedded-space reconstruction error is the unhalved fit term
+        # the reported objective halves (identically equal on the Gram path)
         rng = np.random.default_rng(14)
         points = [random_point(rng, 7, 2) for _ in range(5)]
         delta = build_delta(points)
@@ -295,5 +297,5 @@ class TestObjectiveReconciliation:
         B = np.stack([project_embed(X) for X in points])
         recon = np.einsum("ji,jab->iab", Z.Z, B)
         dense_fit = float(np.sum((B - recon) ** 2))
-        assert abs(dense_fit - report.residual_sq) <= 1e-8
-        assert abs(report.objective_value - (0.5 * report.residual_sq + 0.5 * report.nuclear_norm)) <= 1e-12
+        nuclear = float(np.sum(np.linalg.svd(Z.Z, compute_uv=False)))
+        assert abs(report.objective_value - (0.5 * dense_fit + 0.5 * nuclear)) <= 1e-8

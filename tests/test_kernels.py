@@ -13,14 +13,13 @@ from grasslrr import (
     gram,
     kernel_sqrt,
     orthonormalize,
-    principal_angle_cosines,
     sym_eig,
 )
 import grasslrr
 from grasslrr import kernels
 from grasslrr.closed_form import build_delta
 from grasslrr.kernels import KERNEL_KINDS, KernelMatrix, assemble_gram, gram_workers, psd_clamp
-from oracles import k_cc, k_ccp, k_projection
+from oracles import k_cc, k_ccp, k_projection, principal_angle_cosines
 
 
 EPS = np.finfo(np.float64).eps
