@@ -17,7 +17,9 @@ N-vector of coefficients and every trace or Frobenius norm routes through
 the Gram matrix ``delta`` (||sum_j c_j B_j||_F^2 = c^T delta c).  Memory is
 O(N^2) no matter how large the ambient dimension;  ``dense_reference``
 re-runs the identical iteration on explicit d x d slices to validate the
-reformulation.
+reformulation.  Each loop keeps its own arithmetic, but both close an
+iteration through ``_advance``: the histories, the stop test, the choice of
+the returned iterate and the penalty step are written once.
 
 The loop runs in the eigenbasis delta = Q Lambda Q^T of ``psd_clamp``'s m
 eigenvalues above N eps lambda_max, which a ``KernelMatrix`` (``build_delta``,
@@ -57,7 +59,9 @@ the dual objective sum_i <Y(i), B_i> at the final multiplier Y, scaled into
 the dual feasible set (every ||Y(i)||_F <= 1 and the spectral norm of
 delta Xi at most lam).  The optimum lies between the two, so
 ``relative_gap`` bounds the returned objective's excess; ``converged`` only
-says that the stopping tolerances were met.
+says that the stopping tolerances were met.  The dual bound is the same for
+any positive multiple of Xi, so it is computed on Xi scaled exactly, by a
+power of two, to coordinates below 1: a finite multiplier cannot overflow it.
 """
 
 from __future__ import annotations
@@ -135,8 +139,8 @@ class AdmmState:
 
 @dataclass
 class AdmmReport:
-    iterations: int
-    converged: bool
+    iterations: int = 0
+    converged: bool = False
     primal_residual_history: list = field(default_factory=list)
     objective_history: list = field(default_factory=list)
     mu_history: list = field(default_factory=list)
@@ -145,10 +149,11 @@ class AdmmReport:
     final_state: "AdmmState | None" = None
     # returned_iteration is the 1-based index of the returned iterate (0: the
     # all-zero start), and z_singular_values its thresholded singular values,
-    # descending: SVD order, not sym_eig's.  dense_reference fills iterations,
-    # converged, returned_iteration and the histories; it leaves final_state
-    # and z_singular_values None, svt_drivers all zero (it calls svt, which
-    # does not count) and the three bounds below nan
+    # descending: SVD order, not sym_eig's.  Both solvers fill iterations,
+    # converged, returned_iteration and the three histories through _advance;
+    # dense_reference leaves final_state and z_singular_values None,
+    # svt_drivers all zero (it calls svt, which does not count) and the three
+    # bounds below nan
     returned_iteration: int = 0
     z_singular_values: np.ndarray | None = None
     # iterations whose SVT ran on each driver (see _svt)
@@ -219,6 +224,25 @@ def next_mu(mu: float, change: float, config: AdmmConfig) -> float:
     return min((config.rho0 if change <= config.eps2 else 1.0) * mu, config.mu_max)
 
 
+def _check_finite(k: int, *iterates: np.ndarray) -> None:
+    """Raise NumericalDivergenceError unless every iterate of iteration k + 1 is finite."""
+    if not all(np.isfinite(a).all() for a in iterates):
+        raise NumericalDivergenceError(f"non-finite iterate at iteration {k + 1}")
+
+
+def _advance(report, best, k, primal, change, objective, mu, config, iterate):
+    """Record iteration k + 1, run the stop test, keep best; return (best, next mu, converged)."""
+    report.primal_residual_history.append(primal)
+    report.objective_history.append(objective)
+    report.mu_history.append(mu)
+    report.iterations = k + 1
+    # bool(): dense_reference's change is a numpy float, whose comparison is not a bool
+    report.converged = bool(primal <= config.eps1 and change <= config.eps2)
+    if primal < best[0] or report.converged:
+        best = (primal, *iterate, k + 1)
+    return best, next_mu(mu, change, config), report.converged
+
+
 def _weighted_sq(lam_d: np.ndarray, A: np.ndarray) -> float:
     """sum_k lam_d[k] ||A[k]||^2: the total squared slice norm of the columns of Q A."""
     return float(np.einsum("ij,ij->i", A, A) @ lam_d)
@@ -227,6 +251,9 @@ def _weighted_sq(lam_d: np.ndarray, A: np.ndarray) -> float:
 def _gap(lam_d, QT, Zh, Xh, shrunk, lam: float) -> tuple[float, float, float]:
     """Primal bound at Q Zh, dual bound from the multiplier Q Xh, and their relative gap."""
     primal = float(np.sum(np.sqrt(lam_d @ np.square(QT - Zh)))) + lam * float(np.sum(shrunk))
+    # the dual bound is the same for any positive multiple of Xi, and a power of
+    # two is exact: scaled to max|Xh| < 1, the Gram product below cannot overflow
+    Xh = np.ldexp(Xh, -int(np.frexp(np.max(np.abs(Xh)))[1]))
     LX = lam_d[:, None] * Xh  # Q^T delta Xi; its spectral norm comes off the smaller Gram side
     top = np.linalg.eigvalsh(LX @ LX.T if LX.shape[0] < LX.shape[1] else LX.T @ LX)[-1]
     # Xi divided by this is dual feasible: slice norms <= 1, ||delta Xi||_2 <= lam
@@ -262,10 +289,8 @@ def admm_solve(
     QT = np.ascontiguousarray(Q.T)  # coordinates of the identity
     grad_scale = lam_d[:, None] / eta
 
-    report = AdmmReport(iterations=0, converged=False)
-    if track_iterates:
-        report.z_history = []
-        report.e_history = []
+    report = AdmmReport(z_history=[] if track_iterates else None,
+                        e_history=[] if track_iterates else None)
 
     mu = config.mu0
     Zh, Eh, Xh = (np.zeros((lam_d.size, n)) for _ in range(3))
@@ -295,12 +320,7 @@ def admm_solve(
         residual = QT - Zh_next - Eh_next
         Xh_next = Xh + mu * residual
 
-        if not (
-            np.isfinite(Zh_next).all()
-            and np.isfinite(Eh_next).all()
-            and np.isfinite(Xh_next).all()
-        ):
-            raise NumericalDivergenceError(f"non-finite iterate at iteration {k + 1}")
+        _check_finite(k, Zh_next, Eh_next, Xh_next)
 
         dz = math.sqrt(eta) * float(np.linalg.norm(Zh_next - Zh))
         de = math.sqrt(_weighted_sq(lam_d, Eh_next - Eh))
@@ -309,22 +329,15 @@ def admm_solve(
         # column i of E is factor_i times column i of W, and so is its slice norm
         objective = float(factor @ norms) + config.lam * float(np.sum(shrunk))
 
-        report.primal_residual_history.append(primal)
-        report.objective_history.append(objective)
-        report.mu_history.append(mu)
         if track_iterates:
             report.z_history.append(Q @ Zh_next)
             report.e_history.append(Q @ Eh_next)
 
         Zh, Eh, Xh = Zh_next, Eh_next, Xh_next
-        mu = next_mu(mu, change, config)
-        report.iterations = k + 1
-
-        converged = primal <= config.eps1 and change <= config.eps2
-        if primal < best[0] or converged:
-            best = (primal, Zh, Eh, shrunk, k + 1)
+        best, mu, converged = _advance(
+            report, best, k, primal, change, objective, mu, config, (Zh, Eh, shrunk)
+        )
         if converged:
-            report.converged = True
             break
 
     report.final_state = AdmmState(Q=Q, Zh=Zh, Eh=Eh, Xh=Xh, mu=mu)
@@ -363,10 +376,8 @@ def dense_reference(
     Xi = np.zeros((n, d, d))
     mu = config.mu0
 
-    report = AdmmReport(iterations=0, converged=False)
-    if track_iterates:
-        report.z_history = []
-        report.e_history = []
+    report = AdmmReport(z_history=[] if track_iterates else None,
+                        e_history=[] if track_iterates else None)
 
     # (primal, Z, E, iteration); no iterate is written in place once formed,
     # so holding references is enough
@@ -387,22 +398,14 @@ def dense_reference(
         phi = np.einsum("iab,jab->ij", Xi, B)
         psi = np.einsum("iab,jab->ij", E_next, B)
         grad = mu * (D @ Z) - mu * (D - psi + phi / mu).T
-        try:
-            Z_next = svt(Z - grad / (eta * mu), config.lam / (eta * mu))
-        except InvalidInputError as exc:
-            raise NumericalDivergenceError(
-                f"non-finite iterate at iteration {k + 1}"
-            ) from exc
+        G = Z - grad / (eta * mu)
+        _check_finite(k, G)  # svt refuses a non-finite argument as bad input
+        Z_next = svt(G, config.lam / (eta * mu))
 
         residual = B - np.einsum("ji,jab->iab", Z_next, B) - E_next
         Xi_next = Xi + mu * residual
 
-        if not (
-            np.isfinite(Z_next).all()
-            and np.isfinite(E_next).all()
-            and np.isfinite(Xi_next).all()
-        ):
-            raise NumericalDivergenceError(f"non-finite iterate at iteration {k + 1}")
+        _check_finite(k, Z_next, E_next, Xi_next)
 
         dz = np.sqrt(eta) * float(np.linalg.norm(Z_next - Z))
         de = float(np.linalg.norm(E_next - E))
@@ -414,22 +417,15 @@ def dense_reference(
             + config.lam * np.sum(np.linalg.svd(Z_next, compute_uv=False))
         )
 
-        report.primal_residual_history.append(primal)
-        report.objective_history.append(objective)
-        report.mu_history.append(mu)
         if track_iterates:
             report.z_history.append(Z_next)
             report.e_history.append(list(E_next))
 
         Z, E, Xi = Z_next, E_next, Xi_next
-        mu = next_mu(mu, change, config)
-        report.iterations = k + 1
-
-        converged = primal <= config.eps1 and change <= config.eps2
-        if primal < best[0] or converged:
-            best = (primal, Z, E, k + 1)
+        best, mu, converged = _advance(
+            report, best, k, primal, change, objective, mu, config, (Z, E)
+        )
         if converged:
-            report.converged = True
             break
 
     _, Z_out, E_out, report.returned_iteration = best

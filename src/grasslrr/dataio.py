@@ -355,7 +355,7 @@ def synth_union(spec: SynthSpec) -> tuple[list[GrassmannPoint], np.ndarray]:
         for _ in range(MAX_CENTER_REDRAWS):
             draw = [orthonormalize(rng.normal_matrix(spec.d, spec.p), spec.p) for _ in range(C)]
             # cc-max's largest off-diagonal entry is the cosine of the smallest pairwise angle
-            if C == 1 or math.degrees(math.acos(np.triu(assemble_gram(
+            if C == 1 or spec.min_separation == 0.0 or math.degrees(math.acos(np.triu(assemble_gram(
                     draw, KernelSpec(kind="cc-max")), 1).max())) >= spec.min_separation:
                 centers = draw
                 break

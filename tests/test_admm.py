@@ -18,7 +18,7 @@ from grasslrr import (
     synth_union,
     SynthSpec,
 )
-from grasslrr.admm import ETA_MARGIN, SVT_EIGH_GUARD, _svt, next_mu
+from grasslrr.admm import ETA_MARGIN, SVT_EIGH_GUARD, _gap, _svt, next_mu
 from grasslrr.clustering import NcutConfig, affinity_from_Z, cluster_pipeline
 from grasslrr.kernels import KernelSpec, assemble_gram
 from oracles import e_step, z_step
@@ -484,6 +484,29 @@ class TestCertificate:
         assert report.dual_bound == 0.0
         assert report.relative_gap == 1.0
 
+    def test_large_finite_multiplier_certifies(self):
+        # legal settings whose uncapped penalty drives max|Xi| to about 4e282 on a
+        # noise-free set: the certificate's Gram product of Xi would overflow
+        points, _ = synth_union(SynthSpec(n_clusters=3, per_cluster=5, d=6, p=2, seed=2))
+        cfg = AdmmConfig(lam=1e-10, mu_max=np.inf, rho0=1e300)
+        _, _, report = admm_solve(build_delta(points), cfg)
+        assert np.max(np.abs(report.final_state.Xh)) > 1e250
+        assert np.isfinite([report.primal_bound, report.dual_bound]).all()
+        # weak duality; the dual bound may be slightly negative, so the gap may pass 1
+        assert report.dual_bound <= report.primal_bound
+        assert report.relative_gap >= 0.0
+
+    def test_dual_bound_ignores_power_of_two_scale(self):
+        delta = build_delta(random_points(31, 10, 6, 2))
+        _, _, report = admm_solve(delta, AdmmConfig(lam=0.5, max_iters=30))
+        state = report.final_state
+        lam_d, QT = delta.eigenvalues, np.ascontiguousarray(state.Q.T)
+        shrunk = report.z_singular_values
+        base = _gap(lam_d, QT, state.Zh, state.Xh, shrunk, 0.5)
+        scaled = _gap(lam_d, QT, state.Zh, 2.0**600 * state.Xh, shrunk, 0.5)
+        assert base[1] > 0.0
+        assert scaled == base
+
 
 class TestDenseReference:
     def test_small_instance_tracks_solver(self):
@@ -494,6 +517,11 @@ class TestDenseReference:
         _, _, rep_d = dense_reference(points, cfg, track_iterates=True)
         for k in range(20):
             assert np.max(np.abs(rep_c.z_history[k] - rep_d.z_history[k])) <= 1e-8
+
+    def test_converged_is_a_bool(self):
+        # this instance's iterate change is a numpy float when it passes eps2
+        _, _, report = dense_reference(random_points(12, 8, 12, 2), AdmmConfig(lam=2.0))
+        assert report.converged is True
 
     def test_zero_iterations(self):
         points = random_points(19, 4, 6, 2)

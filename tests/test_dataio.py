@@ -531,6 +531,16 @@ class TestSynthUnion:
         for a, b in zip(points1, points2):
             assert np.array_equal(a.basis, b.basis)
 
+    def test_zero_separation_builds_no_gram(self, monkeypatch):
+        # every draw passes a zero separation, so no center Gram matrix is formed
+        def refuse(*args, **kwargs):
+            raise AssertionError("assemble_gram called")
+
+        monkeypatch.setattr(dataio, "assemble_gram", refuse)
+        spec = SynthSpec(n_clusters=3, per_cluster=2, d=6, p=2, noise_sigma=0.1, seed=12)
+        points, labels = synth_union(spec)
+        assert len(points) == 6 and list(labels) == [0, 0, 1, 1, 2, 2]
+
     def test_infeasible_separation(self):
         spec = SynthSpec(
             n_clusters=3, per_cluster=2, d=4, p=2, noise_sigma=0.0, min_separation=89.0, seed=11
